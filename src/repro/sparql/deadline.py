@@ -11,9 +11,16 @@ and when no deadline is configured the evaluator skips the calls
 entirely (the ``if deadline is not None`` fast path).
 
 With the default stride of 256, a query stops within 256 loop
-iterations of its deadline — far inside the "2x the configured
-timeout" bound the server promises, since a single iteration is
-microseconds.
+iterations of its deadline.  An iteration is *not* always
+microseconds, though: in the batched joins
+(:func:`repro.sparql.physical._join_batches`) one iteration is one
+*left row*, which emits its whole fan-out — ``len(right)`` output rows
+in a cartesian product — so 256 iterations can be hundreds of
+thousands of rows.  Those loops therefore also call
+:meth:`Deadline.check` at every batch flush, which bounds the
+overshoot by one batch plus one left row's fan-out and keeps a runaway
+query inside the "2x the configured timeout" bound the server
+promises.
 """
 
 from __future__ import annotations

@@ -1,26 +1,48 @@
 """Physical operators: the pull-based execution layer.
 
 Each operator is a node in a physical plan tree compiled from the
-logical algebra (:mod:`repro.sparql.algebra`).  ``run(ctx)`` yields
-``(row, multiplicity)`` pairs; rows are tuples of term IDs (``None``
-for unbound), exactly like :class:`repro.sparql.relation.Relation`
-rows.  The operator loops are line-for-line ports of the reference
+logical algebra (:mod:`repro.sparql.algebra`).  There is **one
+execution contract**: an operator implements ``run_batches(ctx)``,
+which yields *batches* — ``(rows, mults)`` with rows as tuples of term
+IDs (``None`` for unbound), exactly like
+:class:`repro.sparql.relation.Relation` rows, and ``mults is None``
+meaning "every multiplicity is 1".  ``PhysicalOp.run`` (``(row,
+multiplicity)`` pairs) is defined once, as the flatten of
+``run_batches``.  The operator loops are ports of the reference
 evaluator's loops, so the pipeline is multiset-identical to it.
 
-Two execution modes share the same operator tree:
+Every operator has one execution body.  What differs between queries
+is the **input policy**, chosen per query by the executor and applied
+by the shared helpers :func:`_input` / :func:`_input_chunks`:
 
-* **materialized** (the default for run-to-completion queries, and
-  always when a stats collector is attached — EXPLAIN ANALYZE,
-  tracing): every pattern/path/filter step materializes its input
-  first, decides its join strategy on the full input like the
-  reference evaluator, and — when instrumented — reports
-  ``rows_in``/``rows_out`` operator records and ``op.*`` trace spans,
-  reproducing the evaluator's observable behaviour record for record.
+* **drain-then-decide** (run-to-completion queries, and always when a
+  stats collector is attached — EXPLAIN ANALYZE, tracing): a
+  pattern/path/filter/join step first drains its whole input, so the
+  pattern step decides NLJ vs hash join on the true input size like
+  the reference evaluator, and — when instrumented — :func:`_observed`
+  reports ``rows_in``/``rows_out`` operator records and ``op.*`` trace
+  spans, reproducing the evaluator's observable behaviour record for
+  record.
 
-* **streaming** (requested by the executor when early termination can
-  pay: a Slice in the plan, or ASK): operators yield lazily, so a
-  ``StreamingSlice`` above a scan chain stops pulling — and stops
-  scanning the store — as soon as LIMIT rows are produced.
+* **adaptive** (requested by the executor when early termination can
+  pay: a Slice in the plan, or ASK): the same bodies pull their input
+  lazily, batch by batch, with output batches ramping ``1, 2, 4, …``,
+  so a ``StreamingSlice`` above a scan chain stops pulling — and stops
+  scanning the store — as soon as LIMIT rows are produced.  The
+  pattern step probes nested-loop until it has seen
+  ``HASH_JOIN_MIN_ROWS`` input rows and only then decides on the
+  remaining total.
+
+Why two policies and not just the lazy one: the adaptive cutover
+NLJ-probes the first ~4 000 input rows that drain-then-decide would
+hash-join.  Forcing it on run-to-completion plans (interleaved A/B on
+the benchmark's 200-ego graph) left 16 of 20 ``scan_analytics`` classes
+within ±10 % but made EQ12 1.25× (NG) / 1.23× (SP) and EQ7 on SP 1.78×
+slower (3 999 probes ≈ 0.40 s of a 1.6 s profiled EQ12; workload p50
+73–78 ms vs 49–52 ms).  The benchmark has traffic on both sides of the
+choice (ASK and LIMIT point lookups stream; every analytics and HTTP
+text drains), so the policy fork stays and only its mechanism is
+shared.
 
 Trace span names are the physical operator names: ``op.IndexScan``,
 ``op.IndexNestedLoopJoin``, ``op.HashJoin``, ``op.CartesianProduct``,
@@ -116,14 +138,14 @@ class ExecContext:
         self.collector = collector
         self.deadline = deadline
         self.tick = None if deadline is None else deadline.tick
-        #: Instrumented mode materializes per operator and emits
-        #: collector records / trace spans like the reference evaluator.
+        #: Instrumented runs report collector records / trace spans
+        #: per operator like the reference evaluator (:func:`_observed`).
         self.instrumented = collector is not None
-        #: Lazy row-at-a-time pulling only pays when something above
-        #: can stop early (a Slice, or ASK's first-row check); for
-        #: run-to-completion queries the per-row generator dispatch is
-        #: pure overhead, so the executor requests the materialized
-        #: path instead.  Instrumentation always materializes.
+        #: The input policy.  Lazy pulling only pays when something
+        #: above can stop early (a Slice, or ASK's first-row check);
+        #: run-to-completion queries drain each step's input first so
+        #: join decisions see true totals, and instrumentation always
+        #: drains (operator records come out in evaluation order).
         self.streaming = streaming
         self.materialize = self.instrumented or not streaming
         #: Target rows per batch on the vectorized path.
@@ -152,9 +174,9 @@ class ExecContext:
     def chunk_sizes(self) -> Iterator[int]:
         """Per-operator output batch size sequence.
 
-        Materialized runs use the configured batch size throughout;
-        streaming runs ramp up from a small first vector so early
-        termination (Slice/ASK) keeps its short time-to-first-row.
+        Drained runs use the configured batch size throughout; lazy
+        runs ramp up from a small first vector so early termination
+        (Slice/ASK) keeps its short time-to-first-row.
         """
         if self.materialize:
             return _repeat(self.batch_size)
@@ -187,24 +209,8 @@ def _ramp_sizes(limit: int) -> Iterator[int]:
         size = min(size * 2, limit)
 
 
-def _chunk_pairs(pairs: Iterable[Pair], size: int) -> Iterator[Batch]:
-    """The singleton adapter: chunk a ``(row, mult)`` iterator into
-    batches, so operators without a native batch implementation still
-    speak the batched contract."""
-    rows: List[Row] = []
-    mults: List[int] = []
-    for row, mult in pairs:
-        rows.append(row)
-        mults.append(mult)
-        if len(rows) >= size:
-            yield rows, (None if all(m == 1 for m in mults) else mults)
-            rows, mults = [], []
-    if rows:
-        yield rows, (None if all(m == 1 for m in mults) else mults)
-
-
 def _flatten(batches: Iterable[Batch]) -> Iterator[Pair]:
-    """The inverse adapter: batches back to ``(row, mult)`` pairs."""
+    """Batches back to ``(row, mult)`` pairs."""
     for rows, mults in batches:
         if mults is None:
             for row in rows:
@@ -217,25 +223,48 @@ def _batch_rows(batches: Iterable[Batch]) -> int:
     return sum(len(rows) for rows, _ in batches)
 
 
+def _select_rows(
+    batches: Iterable[Batch], keep, tick=None
+) -> Iterator[Batch]:
+    """The rows of each batch that pass ``keep(row)``, one pass per
+    batch (``tick``: a deadline tick per batch)."""
+    for rows, mults in batches:
+        if tick is not None:
+            tick()
+        if mults is None:
+            kept = [row for row in rows if keep(row)]
+            if kept:
+                yield kept, None
+            continue
+        kept = []
+        kept_mults: List[int] = []
+        for row, mult in zip(rows, mults):
+            if keep(row):
+                kept.append(row)
+                kept_mults.append(mult)
+        if kept:
+            yield kept, kept_mults
+
+
 class _BatchBuilder:
     """Accumulates output rows for a batch, tracking multiplicities
     lazily: the ``mults`` list exists only once some row's multiplicity
-    differs from 1."""
+    differs from 1.  ``sizes`` (:meth:`ExecContext.chunk_sizes`) gives
+    the target size of each successive batch."""
 
-    __slots__ = ("rows", "mults")
+    __slots__ = ("rows", "mults", "sizes", "target")
 
-    def __init__(self):
+    def __init__(self, sizes: Iterator[int]):
         self.rows: List[Row] = []
         self.mults: Optional[List[int]] = None
+        self.sizes = sizes
+        self.target = next(sizes)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def add_uniform(self, rows: List[Row]) -> None:
-        """Extend with rows of multiplicity 1."""
-        self.rows.extend(rows)
-        if self.mults is not None:
-            self.mults.extend([1] * len(rows))
+    def full(self) -> bool:
+        return len(self.rows) >= self.target
 
     def add_repeat(self, rows: List[Row], mult: int) -> None:
         """Extend with rows sharing one multiplicity."""
@@ -256,60 +285,105 @@ class _BatchBuilder:
         batch = (self.rows, self.mults)
         self.rows = []
         self.mults = None
+        self.target = next(self.sizes)
         return batch
 
 
-def _iter_batch(batch: Batch) -> Iterator[Pair]:
-    rows, mults = batch
-    if mults is None:
-        return ((row, 1) for row in rows)
-    return zip(rows, mults)
+# ----------------------------------------------------------------------
+# The shared mechanism: input policy and instrumentation
+# ----------------------------------------------------------------------
+
+
+def _input(ctx: ExecContext, op: "PhysicalOp") -> Iterable[Batch]:
+    """``op``'s output under the query's input policy: drained into a
+    list (drain-then-decide), or the lazy iterator (adaptive)."""
+    batches = op.run_batches(ctx)
+    return list(batches) if ctx.materialize else batches
+
+
+def _input_chunks(ctx: ExecContext, op: "PhysicalOp") -> Iterator[List[Batch]]:
+    """:func:`_input` in *decision units* for the steps that decide on
+    their input size: one chunk holding the whole input (possibly
+    empty) under drain-then-decide, one chunk per batch otherwise."""
+    batches = _input(ctx, op)
+    if ctx.materialize:
+        yield batches
+    else:
+        for batch in batches:
+            yield [batch]
+
+
+def _observed(
+    ctx: ExecContext,
+    body: Iterator[Batch],
+    batches: List[Batch],
+    operator: str,
+    span_name: str,
+    detail: str,
+    fields=None,
+    batched: bool = True,
+) -> Iterable[Batch]:
+    """Report one operator execution when ``ctx.instrumented``.
+
+    Runs ``body`` to completion inside a collector record (so the scans
+    it performs are attributed to it) and an ``op.*`` span, like the
+    reference evaluator; otherwise hands ``body`` back untouched.
+    ``batches`` is the operator's drained input; ``fields()`` returns
+    extra ``(record fields, span attributes)``; ``batched`` adds the
+    batch-shape span attributes.
+    """
+    if not ctx.instrumented:
+        return body
+    rows_in = _batch_rows(batches)
+    record, attributes = fields() if fields is not None else ({}, {})
+    attributes["rows_in"] = rows_in
+    if batched:
+        attributes["rows_per_batch"] = ctx.batch_size
+    ctx.collector.begin_operator(
+        operator, detail=detail, rows_in=rows_in, **record
+    )
+    with _trace.span(span_name, detail=detail, **attributes) as op_span:
+        out = list(body)
+        rows_out = _batch_rows(out)
+        op_span.set("rows_out", rows_out)
+        if batched:
+            op_span.set("batches", len(out))
+    ctx.collector.end_operator(rows_out=rows_out)
+    return out
 
 
 # ----------------------------------------------------------------------
-# Shared join loops (ports of repro.sparql.relation)
+# The shared join loop (port of repro.sparql.relation join / left_join)
 # ----------------------------------------------------------------------
 
 
 def _join_batches(
     left_batches: Iterable[Batch],
     left_vars: Tuple[str, ...],
-    right_pairs: List[Pair],
+    right_pairs: Iterable[Pair],
     right_vars: Tuple[str, ...],
-    tick,
+    deadline,
     sizes: Iterator[int],
+    outer: bool = False,
 ) -> Iterator[Batch]:
-    """Batched :func:`_join_stream`: identical rows in identical order,
-    consumed and produced as batches."""
+    """Join ``left`` batches against a hashed ``right``, emitting rows
+    in :func:`repro.sparql.relation.join` order (``outer``:
+    :func:`~repro.sparql.relation.left_join`, unmatched left rows
+    padded).  Without shared variables every key is ``()`` — the
+    cartesian product.  Fully bound probe keys concatenate precomputed
+    right fragments without the per-candidate compatibility merge.
+
+    One left row emits its whole fan-out before the batch can flush,
+    so ``deadline.tick`` per left row is too coarse on its own: every
+    flush reads the clock, bounding the overshoot by one batch plus
+    one left row's fan-out.
+    """
     shared = [v for v in left_vars if v in right_vars]
     right_extra = [i for i, v in enumerate(right_vars) if v not in left_vars]
-    out = _BatchBuilder()
-    target = next(sizes)
-    if not shared:
-        # Cartesian: precompute the projected right fragments once.
-        fragments = [
-            (tuple(rrow[i] for i in right_extra), rmult)
-            for rrow, rmult in right_pairs
-        ]
-        uniform = all(rmult == 1 for _, rmult in fragments)
-        for rows, mults in left_batches:
-            for i, lrow in enumerate(rows):
-                if tick is not None:
-                    tick()
-                lmult = 1 if mults is None else mults[i]
-                if uniform:
-                    out.add_repeat([lrow + frag for frag, _ in fragments], lmult)
-                else:
-                    for frag, rmult in fragments:
-                        out.add(lrow + frag, lmult * rmult)
-                if len(out) >= target:
-                    yield out.flush()
-                    target = next(sizes)
-        if len(out):
-            yield out.flush()
-        return
     left_pos = [left_vars.index(v) for v in shared]
     right_pos = [right_vars.index(v) for v in shared]
+    padding = (None,) * len(right_extra)
+    right_pairs = list(right_pairs)
     grouped: Dict[Row, List[Pair]] = {}
     loose: List[Pair] = []
     for rrow, rmult in right_pairs:
@@ -331,12 +405,14 @@ def _join_batches(
         else:
             table[key] = (frags, [rmult for _, rmult in entries])
     table_get = table.get
+    out = _BatchBuilder(sizes)
     for rows, mults in left_batches:
         for i, lrow in enumerate(rows):
-            if tick is not None:
-                tick()
+            if deadline is not None:
+                deadline.tick()
             lmult = 1 if mults is None else mults[i]
             key = tuple(lrow[p] for p in left_pos)
+            matched = False
             if None not in key:
                 hits = table_get(key)
                 if hits is not None:
@@ -346,199 +422,23 @@ def _join_batches(
                     else:
                         for frag, rmult in zip(frags, hit_mults):
                             out.add(lrow + frag, lmult * rmult)
-                for rrow, rmult in loose:
-                    merged = merge_compatible(
-                        lrow, rrow, left_pos, right_pos, right_extra
-                    )
-                    if merged is not None:
-                        out.add(merged, lmult * rmult)
-            else:
-                for rrow, rmult in right_pairs:
-                    merged = merge_compatible(
-                        lrow, rrow, left_pos, right_pos, right_extra
-                    )
-                    if merged is not None:
-                        out.add(merged, lmult * rmult)
-            if len(out) >= target:
-                yield out.flush()
-                target = next(sizes)
-    if len(out):
-        yield out.flush()
-
-
-def _join_stream(
-    left_pairs: Iterable[Pair],
-    left_vars: Tuple[str, ...],
-    right_pairs: List[Pair],
-    right_vars: Tuple[str, ...],
-    tick,
-) -> Iterator[Pair]:
-    """Stream ``left`` against a materialized ``right`` exactly like
-    :func:`repro.sparql.relation.join` (same emission order)."""
-    shared = [v for v in left_vars if v in right_vars]
-    right_extra = [i for i, v in enumerate(right_vars) if v not in left_vars]
-    if not shared:
-        for lrow, lmult in left_pairs:
-            for rrow, rmult in right_pairs:
-                if tick is not None:
-                    tick()
-                yield lrow + tuple(rrow[i] for i in right_extra), lmult * rmult
-        return
-    left_pos = [left_vars.index(v) for v in shared]
-    right_pos = [right_vars.index(v) for v in shared]
-    table: Dict[Row, List[Pair]] = {}
-    loose: List[Pair] = []
-    for rrow, rmult in right_pairs:
-        key = tuple(rrow[i] for i in right_pos)
-        if None in key:
-            loose.append((rrow, rmult))
-        else:
-            table.setdefault(key, []).append((rrow, rmult))
-    for lrow, lmult in left_pairs:
-        if tick is not None:
-            tick()
-        key = tuple(lrow[i] for i in left_pos)
-        if None not in key:
-            for rrow, rmult in table.get(key, ()):
-                if tick is not None:
-                    tick()
-                yield lrow + tuple(
-                    rrow[i] for i in right_extra
-                ), lmult * rmult
-            for rrow, rmult in loose:
-                merged = merge_compatible(
-                    lrow, rrow, left_pos, right_pos, right_extra
-                )
-                if merged is not None:
-                    yield merged, lmult * rmult
-        else:
-            for rrow, rmult in right_pairs:
-                if tick is not None:
-                    tick()
-                merged = merge_compatible(
-                    lrow, rrow, left_pos, right_pos, right_extra
-                )
-                if merged is not None:
-                    yield merged, lmult * rmult
-
-
-def _left_join_stream(
-    left_pairs: Iterable[Pair],
-    left_vars: Tuple[str, ...],
-    right_pairs: List[Pair],
-    right_vars: Tuple[str, ...],
-    tick,
-) -> Iterator[Pair]:
-    """Port of :func:`repro.sparql.relation.left_join`."""
-    shared = [v for v in left_vars if v in right_vars]
-    right_extra = [i for i, v in enumerate(right_vars) if v not in left_vars]
-    left_pos = [left_vars.index(v) for v in shared]
-    right_pos = [right_vars.index(v) for v in shared]
-    padding = (None,) * len(right_extra)
-    table: Dict[Row, List[Pair]] = {}
-    loose: List[Pair] = []
-    for rrow, rmult in right_pairs:
-        key = tuple(rrow[i] for i in right_pos)
-        if None in key:
-            loose.append((rrow, rmult))
-        else:
-            table.setdefault(key, []).append((rrow, rmult))
-    for lrow, lmult in left_pairs:
-        if tick is not None:
-            tick()
-        key = tuple(lrow[i] for i in left_pos)
-        matched = False
-        if shared and None not in key:
-            candidates = list(table.get(key, ())) + loose
-        else:
-            candidates = right_pairs
-        for rrow, rmult in candidates:
-            if tick is not None:
-                tick()
-            merged = merge_compatible(
-                lrow, rrow, left_pos, right_pos, right_extra
-            )
-            if merged is not None:
-                yield merged, lmult * rmult
-                matched = True
-        if not matched:
-            yield lrow + padding, lmult
-
-
-def _left_join_batches(
-    left_batches: Iterable[Batch],
-    left_vars: Tuple[str, ...],
-    right_pairs: List[Pair],
-    right_vars: Tuple[str, ...],
-    tick,
-    sizes: Iterator[int],
-) -> Iterator[Batch]:
-    """Batched :func:`_left_join_stream`: identical rows in identical
-    order, consumed and produced as batches.  Fully bound probe keys
-    concatenate precomputed right fragments without the per-candidate
-    compatibility merge."""
-    shared = [v for v in left_vars if v in right_vars]
-    right_extra = [i for i, v in enumerate(right_vars) if v not in left_vars]
-    left_pos = [left_vars.index(v) for v in shared]
-    right_pos = [right_vars.index(v) for v in shared]
-    padding = (None,) * len(right_extra)
-    grouped: Dict[Row, List[Pair]] = {}
-    loose: List[Pair] = []
-    for rrow, rmult in right_pairs:
-        key = tuple(rrow[i] for i in right_pos)
-        if None in key:
-            loose.append((rrow, rmult))
-        else:
-            grouped.setdefault(key, []).append(
-                (tuple(rrow[i] for i in right_extra), rmult)
-            )
-    table = {}
-    for key, entries in grouped.items():
-        frags = [frag for frag, _ in entries]
-        if all(rmult == 1 for _, rmult in entries):
-            table[key] = (frags, None)
-        else:
-            table[key] = (frags, [rmult for _, rmult in entries])
-    table_get = table.get
-    out = _BatchBuilder()
-    target = next(sizes)
-    for rows, mults in left_batches:
-        for i, lrow in enumerate(rows):
-            if tick is not None:
-                tick()
-            lmult = 1 if mults is None else mults[i]
-            key = tuple(lrow[p] for p in left_pos)
-            matched = False
-            if shared and None not in key:
-                hits = table_get(key)
-                if hits is not None:
-                    frags, hit_mults = hits
-                    if hit_mults is None:
-                        out.add_repeat([lrow + frag for frag in frags], lmult)
-                    else:
-                        for frag, rmult in zip(frags, hit_mults):
-                            out.add(lrow + frag, lmult * rmult)
                     matched = True
-                for rrow, rmult in loose:
-                    merged = merge_compatible(
-                        lrow, rrow, left_pos, right_pos, right_extra
-                    )
-                    if merged is not None:
-                        out.add(merged, lmult * rmult)
-                        matched = True
+                candidates = loose
             else:
-                for rrow, rmult in right_pairs:
-                    merged = merge_compatible(
-                        lrow, rrow, left_pos, right_pos, right_extra
-                    )
-                    if merged is not None:
-                        out.add(merged, lmult * rmult)
-                        matched = True
-            if not matched:
+                candidates = right_pairs
+            for rrow, rmult in candidates:
+                merged = merge_compatible(
+                    lrow, rrow, left_pos, right_pos, right_extra
+                )
+                if merged is not None:
+                    out.add(merged, lmult * rmult)
+                    matched = True
+            if outer and not matched:
                 out.add(lrow + padding, lmult)
-            if len(out) >= target:
+            if out.full():
+                if deadline is not None:
+                    deadline.check()
                 yield out.flush()
-                target = next(sizes)
     if len(out):
         yield out.flush()
 
@@ -563,25 +463,21 @@ class PhysicalOp:
     def children(self) -> Tuple["PhysicalOp", ...]:
         return ()
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        """The one thing an operator implements: yield its solutions
+        as non-empty ``(rows, mults)`` batches."""
         raise NotImplementedError
 
-    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        """Batched pull path (``next_batch`` contract).
-
-        Hot operators override this with a native vectorized
-        implementation; everything else inherits this singleton
-        adapter over :meth:`run`, so untouched operators keep working
-        inside a batched plan.
-        """
-        return _chunk_pairs(self.run(ctx), ctx.batch_size)
+    def run(self, ctx: ExecContext) -> Iterator[Pair]:
+        """``(row, multiplicity)`` pairs: the flattened batches."""
+        return _flatten(self.run_batches(ctx))
 
 
 class UnitOp(PhysicalOp):
     name = "Unit"
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        yield (), 1
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        yield [()], None
 
 
 class ValuesOp(PhysicalOp):
@@ -601,9 +497,13 @@ class ValuesOp(PhysicalOp):
             " ".join(f"?{v}" for v in self.schema), len(rows),
         )
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        for row in self.rows:
-            yield row, 1
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        sizes = ctx.chunk_sizes()
+        start = 0
+        while start < len(self.rows):
+            stop = start + next(sizes)
+            yield self.rows[start:stop], None
+            start = stop
 
 
 class EmptyAfterOp(PhysicalOp):
@@ -629,8 +529,8 @@ class EmptyAfterOp(PhysicalOp):
     def children(self):
         return (self.input,)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        for _ in self.input.run(ctx):
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        for _ in self.input.run_batches(ctx):
             pass
         if _obs.is_active():
             for counter in self.counters:
@@ -655,9 +555,6 @@ class SeedColumnOp(PhysicalOp):
 
     def children(self):
         return (self.input,)
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if _obs.is_active():
@@ -764,9 +661,6 @@ class PatternJoinOp(PhysicalOp):
         self._scan_named_only = named_only
         self._scan_graph_checks = scan_graph_checks
         self._scan_bind_graph = scan_bind_graph
-        self._scan_extra = [
-            i for i, v in enumerate(self._scan_vars) if v not in self._var_index
-        ]
         # -- vectorized NLJ plan (compile-time) ------------------------
         # Per-slot probe recipe: (0, id) constant, (1, pos) input
         # column, (2, None) free.
@@ -806,28 +700,54 @@ class PatternJoinOp(PhysicalOp):
             "op.IndexNestedLoopJoin" if self._shared else "op.IndexScan"
         )
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        if ctx.materialize:
-            return iter(self._run_materialized(ctx))
-        return self._stream_batches(ctx)
+        """Decide and execute the step once per input chunk.
 
-    # -- materialized: decide, record, execute (evaluator's shape) -----
+        Drain-then-decide hands over the whole input as one chunk, so
+        there is one decision on the true total (the reference
+        evaluator's).  The adaptive policy hands over batches: a
+        connected step probes nested-loop until the rows seen reach
+        ``HASH_JOIN_MIN_ROWS``, then buffers the rest and decides once
+        on the total; a disconnected step peeks for a second row and
+        then streams its input through the cartesian loop.
+        """
+        sizes = ctx.chunk_sizes()
+        chunks = _input_chunks(ctx, self.input)
+        executed: Optional[str] = None
+        processed = 0
+        try:
+            chunk = next(chunks, [])
+            if not chunk and not self.chain_first:
+                return
+            while chunk is not None:
+                rows_in = processed + _batch_rows(chunk)
+                if self._shared:
+                    if rows_in >= HASH_JOIN_MIN_ROWS:
+                        for more in chunks:
+                            chunk.extend(more)
+                        rows_in = processed + _batch_rows(chunk)
+                elif rows_in == 1:
+                    chunk.extend(next(chunks, ()))
+                    rows_in = _batch_rows(chunk)
+                executed, decision, estimate = self._decide(ctx, rows_in)
+                # A cartesian step streams whatever input is still to
+                # come; every other step covers exactly its chunk.
+                batches: Iterable[Batch] = chunk
+                if executed == "cartesian":
+                    batches = _chain(chunk, _chain.from_iterable(chunks))
+                yield from self._step(
+                    ctx, executed, decision, estimate, chunk, batches, sizes
+                )
+                processed = rows_in
+                chunk = next(chunks, None)
+        finally:
+            if executed is not None and _obs.is_active():
+                _obs.record_join(executed)
 
-    def _run_materialized(self, ctx: ExecContext) -> List[Batch]:
-        in_batches = list(self.input.run_batches(ctx))
-        rows_in = _batch_rows(in_batches)
-        if rows_in == 0 and not self.chain_first:
-            return []
-        collector = ctx.collector
-        if (
-            rows_in >= HASH_JOIN_MIN_ROWS
-            or collector is not None
-            or _trace.is_active()
-            or _obs.is_active()
-        ):
+    def _decide(self, ctx: ExecContext, rows_in: int):
+        """The reference evaluator's strategy choice for a step over
+        ``rows_in`` input rows: ``(executed, decision, estimate)``."""
+        if rows_in >= HASH_JOIN_MIN_ROWS or ctx.instrumented:
             estimate = ctx.model.estimate(self.pattern.store_pattern(self.graph))
         else:
             # Below the hash-join threshold the decision is NLJ no
@@ -835,134 +755,45 @@ class PatternJoinOp(PhysicalOp):
             # index-statistics lookup entirely.
             estimate = -1
         decision = decide_join(rows_in, estimate)
-        shared = self._shared
-        if shared and decision.method == "hash join":
-            executed, reason = "hash join", decision.describe()
-        elif not shared and rows_in > 1:
-            executed, reason = "cartesian", "disconnected pattern: scan once"
+        if self._shared and decision.method == "hash join":
+            executed = "hash join"
+        elif not self._shared and rows_in > 1:
+            executed = "cartesian"
         else:
-            executed, reason = "NLJ", decision.describe()
-        if collector is not None:
-            collector.begin_operator(
-                "pattern",
-                detail=self.detail,
+            executed = "NLJ"
+        return executed, decision, estimate
+
+    def _step(
+        self, ctx, executed, decision, estimate, chunk, batches, sizes
+    ) -> Iterable[Batch]:
+        if executed == "NLJ":
+            body = self._nlj_batches(ctx, batches, sizes)
+        else:
+            body = _join_batches(
+                batches, self.input.schema, self._scan_pairs(ctx),
+                self._scan_vars, ctx.deadline, sizes,
+            )
+
+        def fields():
+            reason = (
+                "disconnected pattern: scan once"
+                if executed == "cartesian"
+                else decision.describe()
+            )
+            record = dict(
                 bound=describe_bound(
                     self.pattern, set(self.input.schema), ctx.decode_id
                 ),
                 join_method=executed,
                 join_reason=reason,
                 estimate=estimate,
-                rows_in=rows_in,
             )
-        if _obs.is_active():
-            _obs.record_join(executed)
+            return record, dict(join=executed, estimate=estimate)
 
-        def run_step() -> List[Batch]:
-            sizes = ctx.chunk_sizes()
-            if executed == "NLJ":
-                return list(self._nlj_batches(ctx, in_batches, sizes))
-            right = list(self._scan_pairs(ctx))
-            return list(
-                _join_batches(
-                    in_batches, self.input.schema, right, self._scan_vars,
-                    ctx.tick, sizes,
-                )
-            )
-
-        if _trace.is_active():
-            with _trace.span(
-                self._span_name(executed),
-                detail=self.detail,
-                join=executed,
-                estimate=estimate,
-                rows_in=rows_in,
-                rows_per_batch=ctx.batch_size,
-            ) as op_span:
-                out = run_step()
-                op_span.set("rows_out", _batch_rows(out))
-                op_span.set("batches", len(out))
-        else:
-            out = run_step()
-        if collector is not None:
-            collector.end_operator(rows_out=_batch_rows(out))
-        return out
-
-    # -- streaming: lazy batches, adaptive NLJ -> hash cutover ---------
-
-    def _stream_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        executed: Optional[str] = None
-        sizes = ctx.chunk_sizes()
-        try:
-            it = self.input.run_batches(ctx)
-            first = next(it, None)
-            if first is None:
-                if self.chain_first:
-                    executed = "NLJ"
-                return
-            if not self._shared:
-                if len(first[0]) == 1:
-                    second = next(it, None)
-                    if second is None:
-                        executed = "NLJ"
-                        yield from self._nlj_batches(ctx, (first,), sizes)
-                        return
-                    batches: Iterable[Batch] = _chain((first, second), it)
-                else:
-                    batches = _chain((first,), it)
-                executed = "cartesian"
-                right = [
-                    (tuple(rrow[i] for i in self._scan_extra), rmult)
-                    for rrow, rmult in self._scan_pairs(ctx)
-                ]
-                out = _BatchBuilder()
-                target = next(sizes)
-                tick = ctx.tick
-                fragments = [frag for frag, _ in right]
-                for rows, mults in batches:
-                    for i, row in enumerate(rows):
-                        if tick is not None:
-                            tick()
-                        mult = 1 if mults is None else mults[i]
-                        out.add_repeat([row + frag for frag in fragments], mult)
-                        if len(out) >= target:
-                            yield out.flush()
-                            target = next(sizes)
-                if len(out):
-                    yield out.flush()
-                return
-            executed = "NLJ"
-            processed = 0
-            pending: Optional[Batch] = first
-            while pending is not None:
-                if processed + len(pending[0]) >= HASH_JOIN_MIN_ROWS:
-                    # The evaluator decides on the full input; buffer
-                    # the remainder and re-decide with the true count.
-                    rest: List[Batch] = [pending]
-                    rest.extend(it)
-                    total = processed + _batch_rows(rest)
-                    estimate = ctx.model.estimate(
-                        self.pattern.store_pattern(self.graph)
-                    )
-                    if decide_join(total, estimate).method == "hash join":
-                        executed = "hash join"
-                        right_pairs = list(self._scan_pairs(ctx))
-                        yield from _join_batches(
-                            rest,
-                            self.input.schema,
-                            right_pairs,
-                            self._scan_vars,
-                            ctx.tick,
-                            sizes,
-                        )
-                    else:
-                        yield from self._nlj_batches(ctx, rest, sizes)
-                    return
-                processed += len(pending[0])
-                yield from self._nlj_batches(ctx, (pending,), sizes)
-                pending = next(it, None)
-        finally:
-            if executed is not None and _obs.is_active():
-                _obs.record_join(executed)
+        return _observed(
+            ctx, body, chunk, "pattern", self._span_name(executed),
+            self.detail, fields,
+        )
 
     # -- inner loops (ports of the evaluator) --------------------------
 
@@ -988,8 +819,7 @@ class PatternJoinOp(PhysicalOp):
         # left a join variable unbound fall back to the general path).
         prepare = getattr(ctx.model, "scan_prober", None)
         prober = None
-        out = _BatchBuilder()
-        target = next(sizes)
+        out = _BatchBuilder(sizes)
         for rows, mults in in_batches:
             for i, row in enumerate(rows):
                 if deadline is not None:
@@ -1013,9 +843,9 @@ class PatternJoinOp(PhysicalOp):
                         prober = prepare(pattern, positions)
                         prepare = None
                     if prober is not None and prober.matches(pattern):
-                        windows = prober.batches(pattern, target)
+                        windows = prober.batches(pattern, out.target)
                     else:
-                        windows = scan_batches(pattern, positions, target)
+                        windows = scan_batches(pattern, positions, out.target)
                     for window in windows:
                         if deadline is not None:
                             deadline.tick()
@@ -1026,20 +856,18 @@ class PatternJoinOp(PhysicalOp):
                             out.add_repeat([row + e for e in window], mult)
                         else:
                             out.add_repeat(window, mult)
-                        if len(out) >= target:
+                        if out.full():
                             yield out.flush()
-                            target = next(sizes)
                 else:
-                    for quads in scan_batches(pattern, (0, 1, 2, 3), target):
+                    for quads in scan_batches(pattern, (0, 1, 2, 3), out.target):
                         if deadline is not None:
                             deadline.tick()
                         extensions = self._check_extensions(quads, named_only)
                         out.add_repeat(
                             [row + e for e in extensions], mult
                         )
-                        if len(out) >= target:
+                        if out.full():
                             yield out.flush()
-                            target = next(sizes)
         if len(out):
             yield out.flush()
 
@@ -1134,47 +962,21 @@ class PathStepOp(PhysicalOp):
     def children(self):
         return (self.input,)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        if ctx.materialize:
-            return self._run_materialized(ctx)
-        return self._run_streaming(ctx)
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        chunks = _input_chunks(ctx, self.input)
+        first = next(chunks, [])
+        if not first and not self.chain_first:
+            # No input: skip the walk (and its all-pairs evaluation).
+            return
+        batches = _chain(first, _chain.from_iterable(chunks))
+        yield from _observed(
+            ctx, self._walk(ctx, batches), first, "path", "op.PathClosure",
+            self.detail, lambda: ({"join_method": "path"}, {}), batched=False,
+        )
 
-    def _run_materialized(self, ctx: ExecContext) -> List[Pair]:
-        inp = list(self.input.run(ctx))
-        if not inp and not self.chain_first:
-            return []
-        collector = ctx.collector
-        if collector is not None:
-            collector.begin_operator(
-                "path",
-                detail=self.detail,
-                join_method="path",
-                rows_in=len(inp),
-            )
-        if _trace.is_active():
-            with _trace.span(
-                "op.PathClosure", detail=self.detail, rows_in=len(inp)
-            ) as op_span:
-                out = list(self._walk(ctx, inp))
-                op_span.set("rows_out", len(out))
-        else:
-            out = list(self._walk(ctx, inp))
-        if collector is not None:
-            collector.end_operator(rows_out=len(out))
-        return out
-
-    def _run_streaming(self, ctx: ExecContext) -> Iterator[Pair]:
-        it = self.input.run(ctx)
-        if self.chain_first:
-            pairs: Iterable[Pair] = it
-        else:
-            first = next(it, None)
-            if first is None:
-                return
-            pairs = _chain((first,), it)
-        yield from self._walk(ctx, pairs)
-
-    def _walk(self, ctx: ExecContext, pairs: Iterable[Pair]) -> Iterator[Pair]:
+    def _walk(
+        self, ctx: ExecContext, batches: Iterable[Batch]
+    ) -> Iterator[Batch]:
         """Port of ``_path_step_inner``; endpoint constants resolve at
         run time (like the evaluator), so an absent constant drains the
         input and yields nothing."""
@@ -1197,37 +999,38 @@ class PathStepOp(PhysicalOp):
         if (s_kind == "const" and s_val is None) or (
             o_kind == "const" and o_val is None
         ):
-            for _ in pairs:
+            for _ in batches:
                 pass
             return
         if s_kind != "freevar":
             yield from self._from_bound(
-                ctx, pairs, s_kind, s_val, o_kind, o_val, subject_side=True
+                ctx, batches, s_kind, s_val, o_kind, o_val, subject_side=True
             )
             return
         if o_kind != "freevar":
             yield from self._from_bound(
-                ctx, pairs, o_kind, o_val, s_kind, s_val, subject_side=False
+                ctx, batches, o_kind, o_val, s_kind, s_val, subject_side=False
             )
             return
         # Both endpoints free: all-pairs evaluation, then join.
-        variables = (subject, obj) if subject != obj else (subject,)
-        right: List[Pair] = []
-        for start, end, mult in ctx.paths.pairs(path, self.graph):
-            if subject == obj:
-                if start != end:
-                    continue
-                right.append(((start,), mult))
-            else:
-                right.append(((start, end), mult))
-        yield from _join_stream(
-            pairs, self.input.schema, right, variables, ctx.tick
+        pairs = ctx.paths.pairs(path, self.graph)
+        if subject == obj:
+            variables: Tuple[str, ...] = (subject,)
+            right: Iterable[Pair] = (
+                ((start,), mult) for start, end, mult in pairs if start == end
+            )
+        else:
+            variables = (subject, obj)
+            right = (((start, end), mult) for start, end, mult in pairs)
+        yield from _join_batches(
+            batches, self.input.schema, right, variables, ctx.deadline,
+            ctx.chunk_sizes(),
         )
 
     def _from_bound(
-        self, ctx, pairs, bound_kind, bound_val, other_kind, other_val,
+        self, ctx, batches, bound_kind, bound_val, other_kind, other_val,
         subject_side,
-    ) -> Iterator[Pair]:
+    ) -> Iterator[Batch]:
         """Port of ``_path_from_bound`` (per-execution reach cache)."""
         var_index = self._var_index
         path = self.pattern.predicate
@@ -1242,7 +1045,8 @@ class PathStepOp(PhysicalOp):
             return found
 
         other_is_free = other_kind == "freevar"
-        for row, mult in pairs:
+        out = _BatchBuilder(ctx.chunk_sizes())
+        for row, mult in _flatten(batches):
             if bound_kind == "const":
                 start = bound_val
             else:
@@ -1252,7 +1056,7 @@ class PathStepOp(PhysicalOp):
             ends = reach(start)
             if other_is_free:
                 for end, path_mult in ends.items():
-                    yield row + (end,), mult * path_mult
+                    out.add(row + (end,), mult * path_mult)
             else:
                 if other_kind == "const":
                     target = other_val
@@ -1260,7 +1064,11 @@ class PathStepOp(PhysicalOp):
                     target = row[var_index[other_val]]
                 path_mult = ends.get(target, 0)
                 if path_mult:
-                    yield row, mult * path_mult
+                    out.add(row, mult * path_mult)
+            if out.full():
+                yield out.flush()
+        if len(out):
+            yield out.flush()
 
 
 # ----------------------------------------------------------------------
@@ -1339,61 +1147,14 @@ class FilterApplyOp(PhysicalOp):
 
         return test
 
-    def _filter_batches(
-        self, ctx: ExecContext, batches: Iterable[Batch]
-    ) -> Iterator[Batch]:
-        test = self._row_test(ctx)
-        deadline = ctx.deadline
-        for rows, mults in batches:
-            if deadline is not None:
-                deadline.tick()
-            if mults is None:
-                kept = [row for row in rows if test(row)]
-                if kept:
-                    yield kept, None
-                continue
-            kept = []
-            kept_mults: List[int] = []
-            for row, mult in zip(rows, mults):
-                if test(row):
-                    kept.append(row)
-                    kept_mults.append(mult)
-            if kept:
-                yield kept, kept_mults
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if _obs.is_active():
             _obs.inc(self._counter)
-        if ctx.materialize:
-            return iter(self._run_materialized(ctx))
-        return self._filter_batches(ctx, self.input.run_batches(ctx))
-
-    def _run_materialized(self, ctx: ExecContext) -> List[Batch]:
-        in_batches = list(self.input.run_batches(ctx))
-        rows_in = _batch_rows(in_batches)
-        collector = ctx.collector
-        if collector is not None:
-            collector.begin_operator(
-                "filter", detail=self.detail, rows_in=rows_in
-            )
-        if _trace.is_active():
-            with _trace.span(
-                "op.Filter",
-                detail=self.detail,
-                rows_in=rows_in,
-                rows_per_batch=ctx.batch_size,
-            ) as op_span:
-                out = list(self._filter_batches(ctx, in_batches))
-                op_span.set("rows_out", _batch_rows(out))
-                op_span.set("batches", len(out))
-        else:
-            out = list(self._filter_batches(ctx, in_batches))
-        if collector is not None:
-            collector.end_operator(rows_out=_batch_rows(out))
-        return out
+        batches = _input(ctx, self.input)
+        body = _select_rows(batches, self._row_test(ctx), ctx.tick)
+        return iter(
+            _observed(ctx, body, batches, "filter", "op.Filter", self.detail)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1418,26 +1179,12 @@ class JoinOp(PhysicalOp):
     def children(self):
         return (self.left, self.right)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        if ctx.materialize:
-            # Drain left first so operator records appear in the
-            # reference evaluator's (sequential) order.
-            left_batches = list(self.left.run_batches(ctx))
-            right_pairs = list(self.right.run(ctx))
-            return iter(
-                list(
-                    _join_batches(
-                        left_batches, self.left.schema, right_pairs,
-                        self.right.schema, ctx.tick, ctx.chunk_sizes(),
-                    )
-                )
-            )
+        # A drained left runs before the right is built, so operator
+        # records appear in the reference evaluator's (sequential) order.
         return _join_batches(
-            self.left.run_batches(ctx), self.left.schema,
-            list(self.right.run(ctx)), self.right.schema, ctx.tick,
+            _input(ctx, self.left), self.left.schema,
+            self.right.run(ctx), self.right.schema, ctx.deadline,
             ctx.chunk_sizes(),
         )
 
@@ -1458,25 +1205,11 @@ class LeftJoinOp(PhysicalOp):
     def children(self):
         return (self.left, self.right)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        if ctx.materialize:
-            left_batches = list(self.left.run_batches(ctx))
-            right_pairs = list(self.right.run(ctx))
-            return iter(
-                list(
-                    _left_join_batches(
-                        left_batches, self.left.schema, right_pairs,
-                        self.right.schema, ctx.tick, ctx.chunk_sizes(),
-                    )
-                )
-            )
-        return _left_join_batches(
-            self.left.run_batches(ctx), self.left.schema,
-            list(self.right.run(ctx)), self.right.schema, ctx.tick,
-            ctx.chunk_sizes(),
+        return _join_batches(
+            _input(ctx, self.left), self.left.schema,
+            self.right.run(ctx), self.right.schema, ctx.deadline,
+            ctx.chunk_sizes(), outer=True,
         )
 
 
@@ -1493,28 +1226,15 @@ class MinusOp(PhysicalOp):
     def children(self):
         return (self.left, self.right)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        if ctx.materialize:
-            left_batches: Iterable[Batch] = list(self.left.run_batches(ctx))
-            right_pairs = list(self.right.run(ctx))
-            return iter(list(self._emit(ctx, left_batches, right_pairs)))
-        left_batches = self.left.run_batches(ctx)
-        right_pairs = list(self.right.run(ctx))
-        return self._emit(ctx, left_batches, right_pairs)
-
-    def _emit(
-        self,
-        ctx: ExecContext,
-        left_batches: Iterable[Batch],
-        right_pairs: List[Pair],
-    ) -> Iterator[Batch]:
+        left_batches = _input(ctx, self.left)
+        right_pairs = self.right.run(ctx)
         shared = self._shared
         # The evaluator always evaluates the MINUS group, even when no
         # variables are shared (and the result is then ignored).
         if not shared:
+            for _ in right_pairs:
+                pass
             yield from left_batches
             return
         left_pos = [self.left.schema.index(v) for v in shared]
@@ -1542,20 +1262,7 @@ class MinusOp(PhysicalOp):
                 )
             return key not in right_keys
 
-        for rows, mults in left_batches:
-            if mults is None:
-                kept = [row for row in rows if keep(row)]
-                if kept:
-                    yield kept, None
-                continue
-            kept = []
-            kept_mults: List[int] = []
-            for row, mult in zip(rows, mults):
-                if keep(row):
-                    kept.append(row)
-                    kept_mults.append(mult)
-            if kept:
-                yield kept, kept_mults
+        yield from _select_rows(left_batches, keep)
 
 
 class UnionOp(PhysicalOp):
@@ -1582,9 +1289,6 @@ class UnionOp(PhysicalOp):
 
     def children(self):
         return self.branches
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         tick = ctx.tick
@@ -1636,9 +1340,6 @@ class ExtendOp(PhysicalOp):
 
     def children(self):
         return (self.input,)
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         getter = row_getter(self.input.schema, ctx.term_of)
@@ -1693,9 +1394,6 @@ class ProjectOp(PhysicalOp):
     def children(self):
         return (self.input,)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if self._identity:
             # The input already has exactly the projected columns in
@@ -1721,9 +1419,6 @@ class DistinctOp(PhysicalOp):
 
     def children(self):
         return (self.input,)
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         seen = set()
@@ -1763,7 +1458,7 @@ class OrderByOp(PhysicalOp):
     def children(self):
         return (self.input,)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         pairs = list(self.input.run(ctx))
         getter = row_getter(self.input.schema, ctx.term_of)
         conditions = self.conditions
@@ -1782,9 +1477,16 @@ class OrderByOp(PhysicalOp):
 
         if self.top is not None:
             # heapq.nsmallest is stable: equivalent to sorted(...)[:n].
-            yield from heapq.nsmallest(self.top, pairs, key=key_of)
+            ordered = heapq.nsmallest(self.top, pairs, key=key_of)
         else:
-            yield from sorted(pairs, key=key_of)
+            ordered = sorted(pairs, key=key_of)
+        out = _BatchBuilder(ctx.chunk_sizes())
+        for row, mult in ordered:
+            out.add(row, mult)
+            if out.full():
+                yield out.flush()
+        if len(out):
+            yield out.flush()
 
 
 class SliceOp(PhysicalOp):
@@ -1805,9 +1507,6 @@ class SliceOp(PhysicalOp):
 
     def children(self):
         return (self.input,)
-
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
-        return _flatten(self.run_batches(ctx))
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if self.limit == 0:
@@ -1871,7 +1570,7 @@ class AggregateOp(PhysicalOp):
     def children(self):
         return (self.input,)
 
-    def run(self, ctx: ExecContext) -> Iterator[Pair]:
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         getter = row_getter(self.input.schema, ctx.term_of)
         group_exprs = list(self.group_by)
         groups: Dict[Tuple, List[Pair]] = {}
@@ -1892,6 +1591,7 @@ class AggregateOp(PhysicalOp):
             for i, alias in enumerate(self.group_by_aliases)
             if alias is not None
         }
+        out = _BatchBuilder(ctx.chunk_sizes())
         for key, members in groups.items():
             env: Dict[str, Optional[Term]] = {}
             for i, expr in enumerate(group_exprs):
@@ -1943,7 +1643,11 @@ class AggregateOp(PhysicalOp):
                     row_values.append(ctx.encode_term(term))
                 except ExpressionError:
                     row_values.append(None)
-            yield tuple(row_values), 1
+            out.add(tuple(row_values), 1)
+            if out.full():
+                yield out.flush()
+        if len(out):
+            yield out.flush()
 
 
 # ----------------------------------------------------------------------

@@ -22,11 +22,7 @@ from repro.store.values import ValuesTable, DEFAULT_GRAPH_ID
 from repro.store.index import SemanticIndex, IndexSpecError
 from repro.store.locking import LockTimeout, RWLock
 from repro.store.model import SemanticModel
-from repro.store.snapshot import (
-    NetworkSnapshot,
-    SnapshotModel,
-    SnapshotVirtualModel,
-)
+from repro.store.snapshot import NetworkSnapshot, SnapshotModel
 from repro.store.virtual import VirtualModel
 from repro.store.network import SemanticNetwork, StoreError
 from repro.store.storage import StorageReport, storage_report
@@ -49,7 +45,6 @@ __all__ = [
     "VirtualModel",
     "NetworkSnapshot",
     "SnapshotModel",
-    "SnapshotVirtualModel",
     "SemanticNetwork",
     "StoreError",
     "StorageReport",

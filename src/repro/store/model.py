@@ -17,27 +17,109 @@ from repro.store.index import IndexSpecError, QuadIds, SemanticIndex, normalize_
 Pattern = Tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
 
 
-def choose_index_from(
-    indexes, pattern: Pattern
-) -> Tuple[SemanticIndex, int]:
-    """Pick the cheapest index among ``indexes`` for ``pattern``.
+class IndexReads:
+    """The index-read surface of a physical model, over ``self._indexes``.
 
-    Cost-based, like Oracle's optimizer: choose the index whose usable
-    key prefix selects the fewest entries (exact counts from the index
-    itself), breaking ties by longer prefix.  Shared by live models and
-    their MVCC snapshot views (:mod:`repro.store.snapshot`).
+    Shared by live models and their MVCC snapshot views
+    (:mod:`repro.store.snapshot`): the two differ only in who owns the
+    indexes — mutable ones here, frozen page-sharing views there.
     """
-    best: Optional[SemanticIndex] = None
-    best_cost: Optional[Tuple[int, int]] = None
-    for index in indexes:
-        length = index.prefix_length(pattern)
-        matched = index.count_prefix(pattern) if length else len(index)
-        cost = (matched, -length)
-        if best_cost is None or cost < best_cost:
-            best = index
-            best_cost = cost
-    assert best is not None  # models always have >= 1 index
-    return best, -best_cost[1]
+
+    __slots__ = ()
+
+    @property
+    def index_specs(self) -> List[str]:
+        return list(self._indexes)
+
+    def index(self, spec: str) -> SemanticIndex:
+        return self._indexes[normalize_spec(spec)]
+
+    def choose_index(self, pattern: Pattern) -> Tuple[SemanticIndex, int]:
+        """Pick the cheapest index for ``pattern``.
+
+        Cost-based, like Oracle's optimizer: choose the index whose
+        usable key prefix selects the fewest entries (exact counts from
+        the index itself), breaking ties by longer prefix.  A prefix
+        length of zero means the scan degrades to a full index scan
+        with filtering.
+        """
+        best: Optional[SemanticIndex] = None
+        best_cost: Optional[Tuple[int, int]] = None
+        for index in self._indexes.values():
+            length = index.prefix_length(pattern)
+            matched = index.count_prefix(pattern) if length else len(index)
+            cost = (matched, -length)
+            if best_cost is None or cost < best_cost:
+                best = index
+                best_cost = cost
+        assert best is not None  # models always have >= 1 index
+        return best, -best_cost[1]
+
+    def _index_for_scan(self, pattern: Pattern) -> SemanticIndex:
+        if _obs.is_active():
+            _obs.inc("store.scans")
+        return self.choose_index(pattern)[0]
+
+    def scan(self, pattern: Pattern) -> Iterator[QuadIds]:
+        """Scan quads matching ``pattern`` via the best available index."""
+        return self._index_for_scan(pattern).range_scan(pattern)
+
+    def scan_rows(
+        self, pattern: Pattern, positions: Tuple[int, ...]
+    ) -> List[Tuple[int, ...]]:
+        """Vectorized scan: a list of tuples of canonical ``positions``.
+
+        The batch-execution access path — same matches and counters as
+        :meth:`scan`, but materialized page-window-at-a-time by the
+        index (:meth:`~repro.store.index.SemanticIndex.range_rows`).
+        """
+        return self._index_for_scan(pattern).range_rows(pattern, positions)
+
+    def scan_row_batches(
+        self,
+        pattern: Pattern,
+        positions: Tuple[int, ...],
+        max_rows: Optional[int] = None,
+    ) -> Iterator[List[Tuple[int, ...]]]:
+        """Lazy :meth:`scan_rows`: one row list per index page window.
+
+        Lets LIMIT/ASK consumers stop before decoding the whole range
+        (:meth:`~repro.store.index.SemanticIndex.range_row_batches`).
+        """
+        return self._index_for_scan(pattern).range_row_batches(
+            pattern, positions, max_rows
+        )
+
+    def scan_prober(self, pattern: Pattern, positions: Tuple[int, ...]):
+        """A prepared probe for repeated scans sharing ``pattern``'s
+        bound-slot shape: index choice and scan layout resolved once
+        at bind time (:class:`~repro.store.index.PreparedProbe`)."""
+        index, _ = self.choose_index(pattern)
+        return index.prepare_probe(pattern, positions)
+
+    def estimate(self, pattern: Pattern) -> int:
+        """Estimated (here: exact) cardinality of ``pattern`` via index prefix.
+
+        Residual (non-prefix) filters are not applied, so this is an
+        upper bound, the way an optimizer estimates from index statistics.
+        """
+        index, _ = self.choose_index(pattern)
+        if _obs.is_active():
+            _obs.inc("planner.estimates")
+        return index.count_prefix(pattern)
+
+    def predicate_histogram(self) -> Dict[int, int]:
+        """Quad count per predicate ID (optimizer-statistics view).
+
+        For PG-as-RDF data this exposes the skew Table 2 discusses: NG
+        has a handful of predicates with large counts; SP has one
+        predicate per edge with counts of 1.
+        """
+        histogram: Dict[int, int] = {}
+        for _, p, _, _ in self:
+            histogram[p] = histogram.get(p, 0) + 1
+        return histogram
+
 
 #: Index specs created by default on every model, as in the paper
 #: ("two indexes are created by default on all the semantic models:
@@ -45,7 +127,7 @@ def choose_index_from(
 DEFAULT_INDEXES = ("PCSGM", "PSCGM")
 
 
-class SemanticModel:
+class SemanticModel(IndexReads):
     """One independently queryable partition of ID-encoded quads."""
 
     def __init__(self, name: str, index_specs: Sequence[str] = DEFAULT_INDEXES):
@@ -60,10 +142,6 @@ class SemanticModel:
     # ------------------------------------------------------------------
     # Index management
     # ------------------------------------------------------------------
-
-    @property
-    def index_specs(self) -> List[str]:
-        return list(self._indexes)
 
     def create_index(self, spec: str) -> SemanticIndex:
         """Create (and build) an index; idempotent for an existing spec."""
@@ -87,9 +165,6 @@ class SemanticModel:
 
     def has_index(self, spec: str) -> bool:
         return normalize_spec(spec) in self._indexes
-
-    def index(self, spec: str) -> SemanticIndex:
-        return self._indexes[normalize_spec(spec)]
 
     # ------------------------------------------------------------------
     # DML
@@ -134,7 +209,7 @@ class SemanticModel:
             index.bulk_build([])
 
     # ------------------------------------------------------------------
-    # Access paths
+    # Contents (index reads: see IndexReads)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -146,84 +221,9 @@ class SemanticModel:
     def __iter__(self) -> Iterator[QuadIds]:
         return iter(self._quads)
 
-    def choose_index(self, pattern: Pattern) -> Tuple[SemanticIndex, int]:
-        """Pick the cheapest index for ``pattern``.
-
-        A prefix length of zero means the scan degrades to a full index
-        scan with filtering.  See :func:`choose_index_from`.
-        """
-        return choose_index_from(self._indexes.values(), pattern)
-
-    def scan(self, pattern: Pattern) -> Iterator[QuadIds]:
-        """Scan quads matching ``pattern`` via the best available index."""
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_scan(pattern)
-
-    def scan_rows(
-        self, pattern: Pattern, positions: Tuple[int, ...]
-    ) -> List[Tuple[int, ...]]:
-        """Vectorized scan: a list of tuples of canonical ``positions``.
-
-        The batch-execution access path — same matches and counters as
-        :meth:`scan`, but materialized page-window-at-a-time by the
-        index (:meth:`~repro.store.index.SemanticIndex.range_rows`).
-        """
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_rows(pattern, positions)
-
-    def scan_row_batches(
-        self,
-        pattern: Pattern,
-        positions: Tuple[int, ...],
-        max_rows: Optional[int] = None,
-    ) -> Iterator[List[Tuple[int, ...]]]:
-        """Lazy :meth:`scan_rows`: one row list per index page window.
-
-        Lets LIMIT/ASK consumers stop before decoding the whole range
-        (:meth:`~repro.store.index.SemanticIndex.range_row_batches`).
-        """
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_row_batches(pattern, positions, max_rows)
-
-    def scan_prober(self, pattern: Pattern, positions: Tuple[int, ...]):
-        """A prepared probe for repeated scans sharing ``pattern``'s
-        bound-slot shape: index choice and scan layout resolved once
-        at bind time (:class:`~repro.store.index.PreparedProbe`)."""
-        index, _ = self.choose_index(pattern)
-        return index.prepare_probe(pattern, positions)
-
-    def estimate(self, pattern: Pattern) -> int:
-        """Estimated (here: exact) cardinality of ``pattern`` via index prefix.
-
-        Residual (non-prefix) filters are not applied, so this is an
-        upper bound, the way an optimizer estimates from index statistics.
-        """
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("planner.estimates")
-        return index.count_prefix(pattern)
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-
-    def predicate_histogram(self) -> Dict[int, int]:
-        """Quad count per predicate ID (optimizer-statistics view).
-
-        For PG-as-RDF data this exposes the skew Table 2 discusses: NG
-        has a handful of predicates with large counts; SP has one
-        predicate per edge with counts of 1.
-        """
-        histogram: Dict[int, int] = {}
-        for _, p, _, _ in self._quads:
-            histogram[p] = histogram.get(p, 0) + 1
-        return histogram
 
     def distinct_counts(self) -> Dict[str, int]:
         """Distinct value counts per position (optimizer statistics)."""

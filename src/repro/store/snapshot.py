@@ -33,23 +33,23 @@ gauge).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
-from repro.obs import metrics as _obs
 from repro.rdf.quad import Quad
 from repro.store.index import QuadIds, SemanticIndex
-from repro.store.model import Pattern, choose_index_from, normalize_spec
+from repro.store.model import IndexReads
 from repro.store.values import ValuesTable
+from repro.store.virtual import VirtualModel
 
 
-class SnapshotModel:
+class SnapshotModel(IndexReads):
     """A read-only view of one semantic model at a fixed version.
 
-    Exposes the same access-path API as
-    :class:`~repro.store.model.SemanticModel` (``scan`` / ``estimate`` /
-    ``choose_index`` / iteration / membership), backed entirely by the
-    frozen index views — there is no separate quad set to copy, so
-    capture cost is O(#indexes), not O(#quads).
+    The same index reads as :class:`~repro.store.model.SemanticModel`
+    (:class:`~repro.store.model.IndexReads`: ``scan`` / ``estimate`` /
+    ``choose_index`` …) over frozen index views; iteration, length and
+    membership come from an index too — there is no separate quad set
+    to copy, so capture cost is O(#indexes), not O(#quads).
     """
 
     __slots__ = ("name", "_indexes")
@@ -57,13 +57,6 @@ class SnapshotModel:
     def __init__(self, name: str, indexes: Dict[str, SemanticIndex]):
         self.name = name
         self._indexes = indexes
-
-    @property
-    def index_specs(self) -> List[str]:
-        return list(self._indexes)
-
-    def index(self, spec: str) -> SemanticIndex:
-        return self._indexes[normalize_spec(spec)]
 
     def _primary(self) -> SemanticIndex:
         return next(iter(self._indexes.values()))
@@ -79,161 +72,11 @@ class SnapshotModel:
     def __iter__(self) -> Iterator[QuadIds]:
         return self._primary().range_scan((None, None, None, None))
 
-    def choose_index(self, pattern: Pattern) -> Tuple[SemanticIndex, int]:
-        return choose_index_from(self._indexes.values(), pattern)
-
-    def scan(self, pattern: Pattern) -> Iterator[QuadIds]:
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_scan(pattern)
-
-    def scan_rows(
-        self, pattern: Pattern, positions: Tuple[int, ...]
-    ) -> List[Tuple[int, ...]]:
-        """Vectorized scan over the frozen pages (see
-        :meth:`repro.store.model.SemanticModel.scan_rows`)."""
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_rows(pattern, positions)
-
-    def scan_row_batches(
-        self,
-        pattern: Pattern,
-        positions: Tuple[int, ...],
-        max_rows: Optional[int] = None,
-    ) -> Iterator[List[Tuple[int, ...]]]:
-        """Lazy :meth:`scan_rows`: one row list per frozen page window."""
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return index.range_row_batches(pattern, positions, max_rows)
-
-    def scan_prober(self, pattern: Pattern, positions: Tuple[int, ...]):
-        """Bind-time prepared probe; see :meth:`SemanticModel.scan_prober`."""
-        index, _ = self.choose_index(pattern)
-        return index.prepare_probe(pattern, positions)
-
-    def estimate(self, pattern: Pattern) -> int:
-        index, _ = self.choose_index(pattern)
-        if _obs.is_active():
-            _obs.inc("planner.estimates")
-        return index.count_prefix(pattern)
-
-    def predicate_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = {}
-        for _, p, _, _ in self:
-            histogram[p] = histogram.get(p, 0) + 1
-        return histogram
-
     def __repr__(self) -> str:
         return f"SnapshotModel({self.name!r}, quads={len(self)})"
 
 
-class SnapshotVirtualModel:
-    """A read-only UNION view over snapshot members.
-
-    Mirrors :class:`~repro.store.virtual.VirtualModel` for the scan
-    surface the query pipeline uses, but over frozen member views.
-    """
-
-    __slots__ = ("name", "members", "union_all")
-
-    def __init__(
-        self,
-        name: str,
-        members: Tuple[SnapshotModel, ...],
-        union_all: bool = False,
-    ):
-        self.name = name
-        self.members = members
-        self.union_all = union_all
-
-    @property
-    def member_names(self) -> List[str]:
-        return [member.name for member in self.members]
-
-    def __len__(self) -> int:
-        if self.union_all:
-            return sum(len(member) for member in self.members)
-        seen = set()
-        for member in self.members:
-            seen.update(iter(member))
-        return len(seen)
-
-    def __contains__(self, quad: QuadIds) -> bool:
-        return any(quad in member for member in self.members)
-
-    def __iter__(self) -> Iterator[QuadIds]:
-        if self.union_all:
-            for member in self.members:
-                yield from member
-            return
-        seen = set()
-        for member in self.members:
-            for quad in member:
-                if quad not in seen:
-                    seen.add(quad)
-                    yield quad
-
-    def scan(self, pattern: Pattern) -> Iterator[QuadIds]:
-        if len(self.members) == 1:
-            yield from self.members[0].scan(pattern)
-            return
-        if self.union_all:
-            for member in self.members:
-                yield from member.scan(pattern)
-            return
-        seen = set()
-        for member in self.members:
-            for quad in member.scan(pattern):
-                if quad not in seen:
-                    seen.add(quad)
-                    yield quad
-
-    def scan_rows(self, pattern: Pattern, positions):
-        if len(self.members) == 1:
-            return self.members[0].scan_rows(pattern, positions)
-        if self.union_all:
-            rows = []
-            for member in self.members:
-                rows.extend(member.scan_rows(pattern, positions))
-            return rows
-        # UNION semantics deduplicate on whole quads, so members must
-        # return full quads before projecting the requested positions.
-        seen = set()
-        quads = []
-        for member in self.members:
-            for quad in member.scan_rows(pattern, (0, 1, 2, 3)):
-                if quad not in seen:
-                    seen.add(quad)
-                    quads.append(quad)
-        return [tuple(quad[p] for p in positions) for quad in quads]
-
-    def scan_row_batches(self, pattern: Pattern, positions, max_rows=None):
-        if len(self.members) == 1:
-            return self.members[0].scan_row_batches(
-                pattern, positions, max_rows
-            )
-        # Multi-member UNION must see every member before deduplicating,
-        # so there is nothing to gain from page-window laziness here.
-        return iter((self.scan_rows(pattern, positions),))
-
-    def scan_prober(self, pattern: Pattern, positions):
-        """Prepared probes need a single index; UNION views have none."""
-        if len(self.members) == 1:
-            return self.members[0].scan_prober(pattern, positions)
-        return None
-
-    def estimate(self, pattern: Pattern) -> int:
-        return sum(member.estimate(pattern) for member in self.members)
-
-    def choose_index(self, pattern: Pattern) -> Tuple[SemanticIndex, int]:
-        return self.members[0].choose_index(pattern)
-
-
-AnySnapshotModel = Union[SnapshotModel, SnapshotVirtualModel]
+AnySnapshotModel = Union[SnapshotModel, VirtualModel]
 
 
 class NetworkSnapshot:
@@ -260,7 +103,7 @@ class NetworkSnapshot:
         data_version: int,
         values: ValuesTable,
         models: Dict[str, SnapshotModel],
-        virtual_models: Dict[str, SnapshotVirtualModel],
+        virtual_models: Dict[str, VirtualModel],
     ):
         self.data_version = data_version
         self.values = values
@@ -338,10 +181,10 @@ def capture_snapshot(network) -> NetworkSnapshot:
             spec: model.index(spec).view() for spec in model.index_specs
         }
         models[name] = SnapshotModel(name, views)
-    virtual_models: Dict[str, SnapshotVirtualModel] = {}
+    virtual_models: Dict[str, VirtualModel] = {}
     for name, virtual in network._virtual_models.items():
-        members = tuple(models[member] for member in virtual.member_names)
-        virtual_models[name] = SnapshotVirtualModel(
+        members = [models[member] for member in virtual.member_names]
+        virtual_models[name] = VirtualModel(
             name, members, union_all=virtual.union_all
         )
     return NetworkSnapshot(

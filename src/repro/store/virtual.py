@@ -13,22 +13,28 @@ from __future__ import annotations
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.store.index import QuadIds, SemanticIndex
-from repro.store.model import Pattern, SemanticModel
+from repro.store.model import IndexReads, Pattern
 
 
 class VirtualModel:
-    """A read-only UNION of semantic models."""
+    """A read-only UNION of physical models.
+
+    The one union-view implementation: members are live
+    :class:`~repro.store.model.SemanticModel` partitions, or — inside a
+    :class:`~repro.store.snapshot.NetworkSnapshot` — their frozen
+    :class:`~repro.store.snapshot.SnapshotModel` views.
+    """
 
     def __init__(
         self,
         name: str,
-        members: Sequence[SemanticModel],
+        members: Sequence[IndexReads],
         union_all: bool = False,
     ):
         if not members:
             raise ValueError("a virtual model needs at least one member model")
         self.name = name
-        self.members: Tuple[SemanticModel, ...] = tuple(members)
+        self.members: Tuple[IndexReads, ...] = tuple(members)
         self.union_all = union_all
 
     def __len__(self) -> int:

@@ -140,6 +140,60 @@ class TestEngineTimeouts:
         assert metrics.registry().counter("query.timeouts") == 1
 
 
+class CountingDeadline(Deadline):
+    """A generous deadline that counts its clock reads."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self):
+        super().__init__(3600)
+        self.reads = 0
+
+    def check(self):
+        self.reads += 1
+        super().check()
+
+
+class TestClockReadsPerBatch:
+    """The batched joins read the clock at every flush: one left row
+    emits its whole fan-out, so the per-left-row ``tick`` alone reads
+    it once per 256 x |right| rows.  Deterministic — counts reads, no
+    wall-clock assertion."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # Cartesian: 60 left rows x 60 right rows.
+            "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . ?c <http://ex/p> ?d }",
+            # Hash join on ?b (60 rows per side, fan-out 6 per key).
+            "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . "
+            "{ ?c <http://ex/p> ?b } UNION { ?c <http://ex/q> ?b } }",
+        ],
+        ids=["cartesian", "hash"],
+    )
+    def test_at_least_one_clock_read_per_emitted_batch(self, query):
+        from repro.sparql.executor import compile_query, execute
+
+        network = SemanticNetwork()
+        network.create_model("m")
+        network.bulk_load("m", [
+            Quad(ex(f"s{i}"), ex("p"), ex(f"o{i % 10}")) for i in range(60)
+        ])
+        engine = SparqlEngine(network, default_model="m")
+        model = network.model("m")
+        compiled = compile_query(engine._parse_query(query), network, model, "m")
+        deadline = CountingDeadline()
+        metrics.enable()
+        result = execute(
+            compiled, network, model, deadline=deadline, batch_size=16
+        )
+        batches = metrics.registry().counter("exec.batches")
+        assert len(result.rows) >= 360
+        assert batches >= len(result.rows) // 60
+        # One read is execute()'s entry check.
+        assert deadline.reads - 1 >= batches
+
+
 CARTESIAN_UPDATE = (
     "INSERT { ?a <http://ex/r> ?f } WHERE { "
     "?a <http://ex/p> ?b . ?c <http://ex/p> ?d . ?e <http://ex/p> ?f }"

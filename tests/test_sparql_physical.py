@@ -13,9 +13,11 @@ from repro.rdf import IRI, Literal, Quad
 from repro.sparql import SparqlEngine
 from repro.sparql.executor import compile_query
 from repro.sparql.parser import Parser
+from repro.obs.query import QueryCollector
 from repro.sparql.physical import (
     ExecContext,
     PatternJoinOp,
+    PhysicalOp,
     SliceOp,
     compile_plan,
     physical_to_dict,
@@ -109,6 +111,86 @@ def _walk(op):
     yield op
     for child in op.children():
         yield from _walk(child)
+
+
+# ----------------------------------------------------------------------
+# The one execution contract
+# ----------------------------------------------------------------------
+
+
+def _concrete_ops(base=PhysicalOp):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _concrete_ops(sub)
+
+
+#: Together these plans contain every operator kind: BGP scans and
+#: joins, a path with both endpoints free and one from a bound end,
+#: FILTER, a sargable seed, OPTIONAL, MINUS, UNION, VALUES, BIND,
+#: GROUP BY, DISTINCT, ORDER BY, LIMIT and an absent constant.  LIMIT
+#: only follows a total ORDER BY, so every policy must agree exactly.
+CONTRACT_QUERIES = [
+    "SELECT ?a ?label (COUNT(?c) AS ?k) WHERE { "
+    "VALUES ?a { ex:v0 ex:v1 ex:v2 ex:v3 ex:v4 ex:v9 } "
+    "?a ex:follows ?b . ?a ex:name ?n . "
+    "{ ?b ex:follows ?c } UNION { ?b ex:name ?c } "
+    "UNION { ?b ex:follows ex:nowhere } "
+    "OPTIONAL { ?b ex:name ?bn } "
+    'MINUS { ?a ex:name "name3" } '
+    "BIND (STR(?n) AS ?label) FILTER (?a != ?c) } "
+    "GROUP BY ?a ?label ORDER BY ?label LIMIT 4",
+    "SELECT DISTINCT ?p ?q ?far WHERE { ?p ex:follows+ ?q . "
+    "?q ex:follows* ?far . ?far ex:name ?fn FILTER (?p = ex:v1) } "
+    "ORDER BY ?q ?far LIMIT 7",
+    "SELECT ?x ?z ?p ?q WHERE { ?x ex:name ?nx . ?y ex:follows ?z . "
+    "?p ex:follows+ ?q }",
+]
+
+
+class TestOneExecutionContract:
+    def test_every_operator_defines_run_batches_and_none_overrides_run(self):
+        ops = set(_concrete_ops())
+        assert len(ops) >= 17
+        for op in ops:
+            assert op.run_batches is not PhysicalOp.run_batches, op.__name__
+            assert op.run is PhysicalOp.run, op.__name__
+
+    def test_contract_plans_cover_every_operator(self):
+        engine = chain_engine(8)
+        used = set()
+        for text in CONTRACT_QUERIES:
+            used |= {type(op) for op in _walk(compiled_for(engine, text).root)}
+        assert used == set(_concrete_ops())
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 1024])
+    @pytest.mark.parametrize("policy", ["adaptive", "drain", "instrumented"])
+    def test_run_is_the_flattened_batches_under_every_policy(
+        self, policy, batch_size
+    ):
+        engine = chain_engine(8)
+        model = engine.network.model("m")
+
+        def context(policy=policy, batch_size=batch_size):
+            return ExecContext(
+                engine.network,
+                model,
+                collector=QueryCollector() if policy == "instrumented" else None,
+                streaming=policy == "adaptive",
+                batch_size=batch_size,
+            )
+
+        for text in CONTRACT_QUERIES:
+            root = compiled_for(engine, text).root
+            batches = list(root.run_batches(context()))
+            flattened = []
+            for rows, mults in batches:
+                assert rows, "operators never emit an empty batch"
+                assert mults is None or len(mults) == len(rows)
+                flattened.extend(zip(rows, mults or [1] * len(rows)))
+            assert list(root.run(context())) == flattened, text
+            reference = list(root.run(context("drain", 1024)))
+            assert sorted(flattened, key=repr) == sorted(reference, key=repr)
+            assert reference, text
 
 
 # ----------------------------------------------------------------------
