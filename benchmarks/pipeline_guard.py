@@ -1,36 +1,12 @@
 #!/usr/bin/env python
-"""Pipeline-refactor guard: layered execution must not cost latency.
+"""Pipeline guards that need no baseline engine.
 
-The engine now runs every query through the layered pipeline (algebra
--> optimizer -> physical operators) while the interpreting Evaluator
-remains in-tree as the semantic reference.  This guard enforces the
-refactor's two performance claims:
-
-1. **No regression** — per-query *median* latency of the pipeline
-   stays within ``REPRO_PIPELINE_TOLERANCE`` (default 0.05 = 5%) of
-   the reference evaluator on the paper's Figure 5 (EQ1-EQ4, node
-   centric), Figure 8 (EQ11a-c, traversal) and Figure 9 (EQ12,
-   triangles) workloads.  Faster is always fine; the gate is
-   one-sided.
-2. **Early termination pays** (``--limit-demo``) — a LIMIT-10 variant
-   of the 3-hop EQ3 runs at least ``REPRO_LIMIT_SPEEDUP`` (default 2x)
-   faster through the streaming pipeline than the same limited query
-   through the materialize-everything evaluator, because the
-   StreamingSlice stops pulling the operator tree after 10 rows.
-3. **Vectorization pays** (``--scan-speedup``) — the scan-heavy
-   Figure 5 queries (EQ1, a range scan; EQ4, a scan plus a
-   vectorizable ``isLiteral`` filter) run at least
-   ``REPRO_SCAN_SPEEDUP`` (default 3x, median across the set) faster
-   through the batched columnar pipeline than the row-at-a-time
-   reference evaluator.  This gate sizes the dataset up
-   (``REPRO_SCALE`` default 64 here) so scan cost, not fixed per-query
-   overhead, dominates what is being compared.
-4. **Pages stay compact** (``--table9``) — the measured packed bytes
+1. **Pages stay compact** (``--table9``) — the measured packed bytes
    per indexed quad of the columnar index pages stays under
    ``REPRO_PAGE_BYTES_PER_QUAD`` (default 24; raw keys are 32) for
    both NG and SP stores, and the figures are merged into
    ``BENCH_results.json`` under ``"table9_pages"``.
-5. **The PGQL front-end is free** (``--pgql-parity``) — compiling the
+2. **The PGQL front-end is free** (``--pgql-parity``) — compiling the
    Cypher-subset MATCH language onto the shared algebra must not cost
    execution latency: per-query medians of the PGQL EQ4/EQ8
    formulations stay within ``REPRO_PGQL_PARITY`` (default 1.2x) of
@@ -38,18 +14,19 @@ refactor's two performance claims:
    same plan cache after warmup, so this measures the executor, not
    the parser.  Figures are merged under ``"pgql_parity"``.
 
+End-to-end performance is measured by the repository benchmark
+(``BENCHMARK.json``, ``benchmarks/suite/``); LIMIT early termination
+is held as a scan count by
+``tests/test_sparql_physical.py::TestEarlyTermination``.
+
 Usage::
 
-    python benchmarks/pipeline_guard.py             # regression gate
-    python benchmarks/pipeline_guard.py --limit-demo
-    python benchmarks/pipeline_guard.py --scan-speedup
     python benchmarks/pipeline_guard.py --table9
     python benchmarks/pipeline_guard.py --pgql-parity
 
 Knobs: ``REPRO_SCALE`` (ego networks, default 24),
 ``REPRO_PIPELINE_ROUNDS`` (timed rounds per query, default 9),
-``REPRO_PIPELINE_TOLERANCE``, ``REPRO_LIMIT_SPEEDUP``,
-``REPRO_SCAN_SPEEDUP``, ``REPRO_PAGE_BYTES_PER_QUAD``,
+``REPRO_PAGE_BYTES_PER_QUAD``, ``REPRO_PGQL_PARITY``,
 ``REPRO_BENCH_RESULTS`` (results path; empty string disables).
 """
 
@@ -64,31 +41,12 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from repro.bench.harness import build_stores
-from repro.sparql.eval import Evaluator
 
 MODEL = "NG"
-FIGURE_QUERIES: Tuple[Tuple[str, str], ...] = (
-    ("figure5", "EQ1"),
-    ("figure5", "EQ2"),
-    ("figure5", "EQ3"),
-    ("figure5", "EQ4"),
-    ("figure8", "EQ11a"),
-    ("figure8", "EQ11b"),
-    ("figure8", "EQ11c"),
-    ("figure9", "EQ12"),
-)
 
 
 def _rounds() -> int:
     return int(os.environ.get("REPRO_PIPELINE_ROUNDS", "9"))
-
-
-def _tolerance() -> float:
-    return float(os.environ.get("REPRO_PIPELINE_TOLERANCE", "0.05"))
-
-
-def _required_speedup() -> float:
-    return float(os.environ.get("REPRO_LIMIT_SPEEDUP", "2.0"))
 
 
 def _interleaved_medians(
@@ -112,117 +70,6 @@ def _interleaved_medians(
         second()
         second_samples.append(time.perf_counter() - start)
     return statistics.median(first_samples), statistics.median(second_samples)
-
-
-def _runners(store, query: str):
-    """(pipeline, legacy-evaluator) runners for one query text."""
-    engine = store.engine
-    ast = engine._parse_query(query)
-    model_name = engine._model_name(None)
-    store_model = engine.network.model(model_name)
-
-    def pipeline():
-        return engine.run_ast(ast, None, text=query)
-
-    def legacy():
-        evaluator = Evaluator(
-            engine.network,
-            store_model,
-            union_default_graph=engine._union_default,
-            filter_pushdown=engine._filter_pushdown,
-        )
-        return evaluator.select(ast)
-
-    return pipeline, legacy
-
-
-def check_regressions() -> int:
-    ctx = build_stores()
-    store = ctx.stores[MODEL]
-    suite = store.queries.experiment_queries(ctx.tag, ctx.hub_iri)
-    rounds = _rounds()
-    tolerance = _tolerance()
-    failures: List[str] = []
-    print(f"pipeline guard: {len(FIGURE_QUERIES)} queries, "
-          f"median of {rounds} rounds, tolerance {tolerance:.0%}")
-    for figure, name in FIGURE_QUERIES:
-        pipeline, legacy = _runners(store, suite[name])
-        legacy_s, pipeline_s = _interleaved_medians(legacy, pipeline, rounds)
-        ratio = pipeline_s / legacy_s if legacy_s else 1.0
-        if ratio > 1.0 + tolerance:
-            # Confirm before failing: a shared/throttled CPU can burst
-            # mid-measurement.  Re-measure with doubled rounds; only a
-            # reproduced regression counts.
-            legacy_s, pipeline_s = _interleaved_medians(
-                legacy, pipeline, rounds * 2
-            )
-            ratio = pipeline_s / legacy_s if legacy_s else 1.0
-        verdict = "ok" if ratio <= 1.0 + tolerance else "REGRESSED"
-        print(
-            f"  {figure:8s} {name:6s} legacy={legacy_s * 1e3:8.3f}ms "
-            f"pipeline={pipeline_s * 1e3:8.3f}ms ratio={ratio:5.2f} "
-            f"{verdict}"
-        )
-        if ratio > 1.0 + tolerance:
-            failures.append(f"{name} ({ratio:.2f}x)")
-    if failures:
-        print(f"FAIL: pipeline median regressed beyond {tolerance:.0%} "
-              f"on: {', '.join(failures)}")
-        return 1
-    print("PASS: pipeline medians within tolerance on every figure query")
-    return 0
-
-
-#: The scan-heavy Figure 5 queries: EQ1 is one index range scan, EQ4
-#: is the per-node KV scan behind a vectorizable isLiteral filter.
-#: EQ2/EQ3 are join-bound, so they belong to the regression gate above,
-#: not the vectorization gate.
-SCAN_QUERIES: Tuple[str, ...] = ("EQ1", "EQ4")
-
-
-def check_scan_speedup() -> int:
-    # Scan-heavy means scans must dominate the measurement: grow the
-    # default dataset so fixed per-query overhead (parse cache lookup,
-    # plan setup) stops mattering.
-    os.environ.setdefault("REPRO_SCALE", "64")
-    ctx = build_stores()
-    store = ctx.stores[MODEL]
-    suite = store.queries.experiment_queries(ctx.tag, ctx.hub_iri)
-    rounds = _rounds()
-    required = float(os.environ.get("REPRO_SCAN_SPEEDUP", "3.0"))
-    print(f"scan-speedup gate: {', '.join(SCAN_QUERIES)} at scale "
-          f"{os.environ['REPRO_SCALE']}, median of {rounds} rounds, "
-          f"required median {required:.1f}x")
-    speedups: List[float] = []
-    for name in SCAN_QUERIES:
-        pipeline, legacy = _runners(store, suite[name])
-        legacy_s, pipeline_s = _interleaved_medians(legacy, pipeline, rounds)
-        speedup = legacy_s / pipeline_s if pipeline_s else float("inf")
-        if speedup < required:
-            # One slow sample can be scheduler noise; reproduce with
-            # doubled rounds before letting it drag the median down.
-            legacy_s, pipeline_s = _interleaved_medians(
-                legacy, pipeline, rounds * 2
-            )
-            speedup = legacy_s / pipeline_s if pipeline_s else float("inf")
-        speedups.append(speedup)
-        print(f"  {name:6s} evaluator={legacy_s * 1e3:8.3f}ms "
-              f"pipeline={pipeline_s * 1e3:8.3f}ms speedup={speedup:5.2f}x")
-    median_speedup = statistics.median(speedups)
-    _merge_results("scan_speedup", {
-        "queries": list(SCAN_QUERIES),
-        "speedups": [round(s, 3) for s in speedups],
-        "median_speedup": round(median_speedup, 3),
-        "required": required,
-        "scale": int(os.environ["REPRO_SCALE"]),
-    })
-    if median_speedup < required:
-        print(f"FAIL: median scan speedup {median_speedup:.2f}x is below "
-              f"the required {required:.1f}x")
-        return 1
-    print(f"PASS: batched pipeline is {median_speedup:.2f}x the "
-          "row-at-a-time evaluator on scan-heavy queries (median)")
-    return 0
 
 
 def check_table9_pages() -> int:
@@ -347,65 +194,25 @@ def check_pgql_parity() -> int:
     return 0
 
 
-def check_limit_demo() -> int:
-    ctx = build_stores()
-    store = ctx.stores[MODEL]
-    suite = store.queries.experiment_queries(ctx.tag, ctx.hub_iri)
-    limited = suite["EQ3"] + " LIMIT 10"
-    rounds = _rounds()
-    required = _required_speedup()
-    pipeline, legacy = _runners(store, limited)
-    legacy_s, pipeline_s = _interleaved_medians(legacy, pipeline, rounds)
-    speedup = legacy_s / pipeline_s if pipeline_s else float("inf")
-    print(
-        f"limit demo (EQ3 LIMIT 10): evaluator={legacy_s * 1e3:.3f}ms "
-        f"pipeline={pipeline_s * 1e3:.3f}ms speedup={speedup:.1f}x "
-        f"(required {required:.1f}x)"
-    )
-    if speedup < required:
-        print("FAIL: streaming early termination did not deliver the "
-              "required speedup")
-        return 1
-    print("PASS: LIMIT query terminates early through the pipeline")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--limit-demo",
-        action="store_true",
-        help="check the LIMIT-10 early-termination speedup instead of "
-        "the regression gate",
-    )
-    parser.add_argument(
-        "--scan-speedup",
-        action="store_true",
-        help="check the batched-pipeline speedup on scan-heavy "
-        "figure-5 queries vs the row-at-a-time evaluator",
-    )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--table9",
         action="store_true",
         help="check packed page bytes-per-quad and record the Table 9 "
         "page figures in BENCH_results.json",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--pgql-parity",
         action="store_true",
         help="check compiled-PGQL vs hand-written-SPARQL latency parity "
         "on the KV-heavy EQ4/EQ8 queries",
     )
     args = parser.parse_args(argv)
-    if args.limit_demo:
-        return check_limit_demo()
-    if args.scan_speedup:
-        return check_scan_speedup()
     if args.table9:
         return check_table9_pages()
-    if args.pgql_parity:
-        return check_pgql_parity()
-    return check_regressions()
+    return check_pgql_parity()
 
 
 if __name__ == "__main__":

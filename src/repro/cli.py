@@ -127,32 +127,23 @@ def _read_query(args) -> str:
 
 def _cmd_query(args) -> int:
     engine = _build_engine(args.data)
-    query = _read_query(args)
-    if args.explain:
-        for line in engine.explain(query):
-            print(line)
-        return 0
-    result = engine.select(query)
-    if args.format == "json":
-        print(to_json(result, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(to_csv(result))
-    else:
-        print("\t".join(result.variables))
-        for row in result.rows:
-            print("\t".join("" if t is None else t.n3() for t in row))
-        print(f"({len(result)} rows)", file=sys.stderr)
-    return 0
+    return _print_read(args, engine.select, engine.explain)
 
 
 def _cmd_pgql(args) -> int:
     engine = _build_engine(args.data, pgql_encoding=args.encoding)
+    return _print_read(args, engine.pgql, engine.explain_pgql_plan)
+
+
+def _print_read(args, run, explain) -> int:
+    """``query`` and ``pgql``: print the plan (``--explain``) or run the
+    query and print its rows as a table, JSON or CSV."""
     query = _read_query(args)
     if args.explain:
-        for line in engine.explain_pgql_plan(query):
+        for line in explain(query):
             print(line)
         return 0
-    result = engine.pgql(query)
+    result = run(query)
     if args.format == "json":
         print(to_json(result, indent=2))
     elif args.format == "csv":

@@ -387,10 +387,12 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                 self._send_error(400, "missing query parameter")
                 return
             language = params.get("language", ["sparql"])[0]
-            if language == "pgql":
-                self._gated(self._send_explain_pgql, query)
-            else:
-                self._gated(self._send_explain, query)
+            explain = (
+                self.engine.explain_pgql_plan
+                if language == "pgql"
+                else self.engine.explain_plan
+            )
+            self._gated(self._send_explain, explain, query)
             return
         if parsed.path not in ("/sparql", "/pgql"):
             self._send_error(404, "not found")
@@ -402,10 +404,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             return
         if not self._parse_min_version(params):
             return
-        if parsed.path == "/pgql":
-            self._gated(self._run_pgql, query)
-        else:
-            self._gated(self._run_query, query)
+        self._gated(self._run_read, self._front_end(parsed.path), query)
 
     def _do_post(self) -> None:
         parsed = urlparse(self.path)
@@ -433,10 +432,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                 return
             if not self._parse_min_version(parse_qs(parsed.query)):
                 return
-            if parsed.path == "/pgql":
-                self._gated(self._run_pgql, query)
-            else:
-                self._gated(self._run_query, query)
+            self._gated(self._run_read, self._front_end(parsed.path), query)
         elif parsed.path == "/update":
             if not self.allow_updates:
                 self._send_error(403, "updates are disabled")
@@ -487,7 +483,11 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         except UnicodeDecodeError as exc:
             raise _HttpError(400, f"request body is not UTF-8: {exc}") from None
 
-    def _gated(self, handler, argument: str) -> None:
+    def _front_end(self, path: str):
+        """The engine entry point serving a read path."""
+        return self.engine.pgql if path == "/pgql" else self.engine.query
+
+    def _gated(self, handler, *args) -> None:
         """Run one request inside the in-flight gate (429 when full),
         dispatching execution through the worker pool when one is
         configured (429 when its backpressure queue is full)."""
@@ -502,13 +502,13 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             if self.pool is None:
-                handler(argument)
+                handler(*args)
                 return
             try:
                 # The connection thread blocks on the job while the
                 # worker writes the response through this handler — the
                 # socket stays owned by exactly one active thread.
-                self.pool.execute(handler, argument)
+                self.pool.execute(handler, *args)
             except PoolSaturated as exc:
                 if _obs.is_enabled():
                     _obs.registry().inc("server.throttled")
@@ -580,15 +580,19 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _run_query(self, query: str) -> None:
+    def _run_read(self, run, query: str) -> None:
+        """/sparql and /pgql: one read contract, two front-ends (``run``
+        is ``engine.query`` or ``engine.pgql``)."""
         if not self._await_min_version():
             return
         try:
-            result = self.engine.query(query, timeout=self.query_timeout)
+            result = run(query, timeout=self.query_timeout)
         except QueryTimeout as exc:
             self._send_timeout(exc)
             return
         except SparqlError as exc:
+            # PgqlSyntaxError subclasses SparqlError: malformed MATCH
+            # input answers 400 with a JSON payload, never a traceback.
             self._send_error(400, str(exc))
             return
         accept = self.headers.get("Accept", "")
@@ -609,27 +613,6 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
             )
             self._send(200, "application/n-triples", text)
 
-    def _run_pgql(self, query: str) -> None:
-        """/pgql: identical contract to /sparql, PGQL front-end."""
-        if not self._await_min_version():
-            return
-        try:
-            result = self.engine.pgql(query, timeout=self.query_timeout)
-        except QueryTimeout as exc:
-            self._send_timeout(exc)
-            return
-        except SparqlError as exc:
-            # PgqlSyntaxError subclasses SparqlError: malformed MATCH
-            # input answers 400 with a JSON payload, never a traceback.
-            self._send_error(400, str(exc))
-            return
-        accept = self.headers.get("Accept", "")
-        if "text/csv" in accept:
-            self._send(200, "text/csv", to_csv(result))
-        else:
-            self._send(200, "application/sparql-results+json",
-                       to_json(result, include_stats=True))
-
     def _run_update(self, update: str) -> None:
         try:
             counts = self.engine.update(update, timeout=self.query_timeout)
@@ -645,18 +628,12 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         counts["data_version"] = self.engine.network.data_version
         self._send(200, "application/json", json.dumps(counts))
 
-    def _send_explain(self, query: str) -> None:
-        """Compile (but do not run) a query; return the plan trees."""
+    def _send_explain(self, explain, query: str) -> None:
+        """Compile (but do not run) a query; return the plan trees
+        (``explain`` is ``engine.explain_plan`` or
+        ``engine.explain_pgql_plan``)."""
         try:
-            document = self.engine.explain_plan(query, format="json")
-        except SparqlError as exc:
-            self._send_error(400, str(exc))
-            return
-        self._send(200, "application/json", json.dumps(document))
-
-    def _send_explain_pgql(self, query: str) -> None:
-        try:
-            document = self.engine.explain_pgql_plan(query, format="json")
+            document = explain(query, format="json")
         except SparqlError as exc:
             self._send_error(400, str(exc))
             return

@@ -399,16 +399,17 @@ def certain_vars(plan: Plan, graph_var: Optional[str] = None) -> FrozenSet[str]:
 # ----------------------------------------------------------------------
 
 
-def lower_group(group: GroupPattern) -> Plan:
+def lower_group(group: GroupPattern, start: Plan = Unit()) -> Plan:
     """Lower one group to a plan chain, mirroring the reference fold.
 
     Consecutive triple patterns accumulate into one flush (a ``BGP``
     node followed by ``PathStep`` nodes); any other element — including
     a FILTER — breaks the accumulation, exactly like the evaluator's
     ``flush_bgp``.  Group FILTERs wrap the finished chain in syntax
-    order; the optimizer later sinks the pushable ones.
+    order; the optimizer later sinks the pushable ones.  The fold
+    starts from ``start`` (an EXISTS group starts from its seed row).
     """
-    plan: Plan = Unit()
+    plan: Plan = start
     bgp: List[TriplePattern] = []
 
     def flush() -> Plan:

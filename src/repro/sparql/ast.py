@@ -1,8 +1,8 @@
 """SPARQL abstract syntax tree.
 
-Nodes are small frozen dataclasses.  The evaluator consumes this AST
-directly; the only extra "algebra" step is BGP join-order planning in
-:mod:`repro.sparql.plan`.
+Nodes are small frozen dataclasses.  The pipeline lowers this AST into
+the logical algebra (:mod:`repro.sparql.algebra`); the reference
+evaluator (:mod:`repro.testing.reference`) interprets it directly.
 """
 
 from __future__ import annotations

@@ -17,24 +17,18 @@ from repro.obs import ExplainAnalysis, QueryCollector, SlowQueryLog
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.rdf.quad import Triple
-from repro.sparql.ast import (
-    AskQuery,
-    ConstructQuery,
-    DescribeQuery,
-    GroupPattern,
-    SelectQuery,
-    SubSelectPattern,
-    TriplePattern,
-)
+from repro.sparql.ast import AskQuery, ConstructQuery, SelectQuery
 from repro.sparql import algebra as _algebra
 from repro.sparql.deadline import Deadline, deadline_for
 from repro.sparql.errors import EvaluationError, QueryTimeout
-from repro.sparql.eval import Evaluator
 from repro.sparql.executor import CompiledQuery, compile_query
 from repro.sparql.executor import execute as _execute_compiled
 from repro.sparql.parser import Parser
-from repro.sparql.physical import physical_to_dict, render_physical
-from repro.sparql.plan import explain_bgp
+from repro.sparql.physical import (
+    access_plan,
+    physical_to_dict,
+    render_physical,
+)
 from repro.sparql.plancache import PlanCache
 from repro.sparql.results import SelectResult
 from repro.sparql.update import UpdateExecutor
@@ -559,10 +553,12 @@ class SparqlEngine:
         analyze: bool = False,
         trace: bool = False,
     ):
-        """Access-plan description for the query's BGPs (Table 5 style).
+        """Access plan of the compiled query (Table 5 style).
 
-        Walks the WHERE clause; for each BGP reports join order, the
-        chosen semantic network index, scan kind and join method.
+        One line per triple-pattern and path step of the physical plan
+        the query runs, in execution order: the pattern, its bound
+        positions, the chosen semantic network index, scan kind and
+        join method.
 
         With ``analyze=True`` the query is *executed* and an
         :class:`repro.obs.ExplainAnalysis` is returned instead, each
@@ -574,64 +570,12 @@ class SparqlEngine:
         ast = self._parse_query(text)
         if not isinstance(ast, (SelectQuery, AskQuery, ConstructQuery)):
             raise EvaluationError("cannot explain this form")
-        store_model = self.network.model(self._model_name(model))
-        evaluator = self._evaluator(model)
-        lines: List[str] = []
-        counter = [0]
-
-        def decode(term_id: int) -> str:
-            if term_id == -1:
-                return "<bound at run time>"
-            return self.network.values.term(term_id).n3()
-
-        def walk(group: GroupPattern, graph, bound: set) -> None:
-            bgp: list = []
-
-            def flush() -> None:
-                nonlocal bgp
-                if not bgp:
-                    return
-                graph_ctx = graph if not isinstance(graph, str) else None
-                for step in explain_bgp(bgp, store_model, graph_ctx, decode, bound):
-                    counter[0] += 1
-                    lines.append(step.render(counter[0]))
-                bound.update(v for pattern in bgp for v in pattern.variables())
-                bgp = []
-
-            for element in group.elements:
-                if isinstance(element, TriplePattern):
-                    if element.predicate_is_path():
-                        flush()
-                        counter[0] += 1
-                        lines.append(
-                            f"{counter[0]}: <property path> (frontier walk)"
-                        )
-                        continue
-                    encoded = evaluator._encode_pattern(element)
-                    if encoded is not None:
-                        bgp.append(encoded)
-                    continue
-                flush()
-                if isinstance(element, GroupPattern):
-                    walk(element, graph, bound)
-                elif isinstance(element, SubSelectPattern):
-                    walk(element.query.where, graph, bound)
-                elif element.__class__.__name__ == "GraphGraphPattern":
-                    inner_graph = (
-                        element.graph
-                        if isinstance(element.graph, str)
-                        else self.network.lookup_term(element.graph)
-                    )
-                    walk(element.group, inner_graph, bound)
-                elif hasattr(element, "group"):
-                    walk(element.group, graph, bound)
-                elif hasattr(element, "branches"):
-                    for branch in element.branches:
-                        walk(branch, graph, bound)
-            flush()
-
-        walk(ast.where, None if self._union_default else 0, set())
-        return lines
+        compiled, store_model = self._compile_live(ast, model, "sparql")
+        return access_plan(
+            compiled.root,
+            store_model,
+            lambda term_id: self.network.values.term(term_id).n3(),
+        )
 
     def explain_analyze(
         self,
@@ -696,11 +640,9 @@ class SparqlEngine:
         ast, _ = self._pgql_translate(text, encoding)
         return self._explain_plan_ast(ast, model, format, "pgql")
 
-    def _explain_plan_ast(
-        self, ast, model: Optional[str], format: str, language: str
-    ):
-        if format not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
+    def _compile_live(self, ast, model: Optional[str], language: str):
+        """Compile against the live network (EXPLAIN: nothing runs);
+        returns ``(compiled, store_model)``."""
         model_name = self._model_name(model)
         store_model = self.network.model(model_name)
         compiled = compile_query(
@@ -712,11 +654,19 @@ class SparqlEngine:
             filter_pushdown=self._filter_pushdown,
             language=language,
         )
+        return compiled, store_model
+
+    def _explain_plan_ast(
+        self, ast, model: Optional[str], format: str, language: str
+    ):
+        if format not in ("text", "json"):
+            raise ValueError("format must be 'text' or 'json'")
+        compiled, _ = self._compile_live(ast, model, language)
         if format == "json":
             return {
                 "form": compiled.form,
                 "language": compiled.language,
-                "model": model_name,
+                "model": compiled.model_name,
                 "variables": list(compiled.variables),
                 "batch_size": self.batch_size,
                 "logical": _algebra.to_dict(compiled.logical),
@@ -766,22 +716,6 @@ class SparqlEngine:
                 "no model specified and no default model configured"
             )
         return name
-
-    def _evaluator(
-        self,
-        model: Optional[str],
-        collector: Optional[QueryCollector] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Evaluator:
-        store_model = self.network.model(self._model_name(model))
-        return Evaluator(
-            self.network,
-            store_model,
-            union_default_graph=self._union_default,
-            filter_pushdown=self._filter_pushdown,
-            collector=collector,
-            deadline=deadline,
-        )
 
 
 def _result_rows(result) -> int:

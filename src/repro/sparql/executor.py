@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs import metrics as _obs
-from repro.rdf.quad import Triple
+from repro.rdf.quad import Quad, Triple
 from repro.rdf.terms import Term
 from repro.sparql import algebra as A
 from repro.sparql.ast import (
@@ -26,6 +26,7 @@ from repro.sparql.ast import (
     ConstructQuery,
     DescribeQuery,
     GroupPattern,
+    QuadPattern,
     Query,
     SelectQuery,
     TriplePattern,
@@ -33,11 +34,11 @@ from repro.sparql.ast import (
 from repro.sparql.errors import EvaluationError
 from repro.sparql.optimize import optimize
 from repro.sparql.physical import (
+    Compiler,
     ExecContext,
     PhysicalOp,
     ProjectOp,
     SliceOp,
-    compile_plan,
 )
 from repro.sparql.results import SelectResult
 
@@ -112,7 +113,8 @@ def compile_query(
         filter_pushdown=filter_pushdown,
         protected=_protected_variables(ast),
     )
-    root = compile_plan(optimized, network, model, union_default_graph)
+    compiler = Compiler(network, model, union_default_graph, filter_pushdown)
+    root = compiler.compile(optimized, compiler.default_graph)
     variables: Tuple[str, ...] = ()
     if form == "select":
         node = root
@@ -233,7 +235,7 @@ def _execute_construct(
     seen: Set[Triple] = set()
     for row, _ in compiled.root.run(ctx):
         for template in query.template:
-            triple = _instantiate(ctx, template, row, index)
+            triple = instantiate(template, row, index, ctx.values.term)
             if triple is not None and triple not in seen:
                 seen.add(triple)
                 produced.append(triple)
@@ -274,29 +276,32 @@ def _execute_describe(
     return described
 
 
-def _instantiate(
-    ctx: ExecContext,
-    template: TriplePattern,
+def instantiate(
+    template: TriplePattern | QuadPattern,
     row: Tuple,
     index: Dict[str, int],
-) -> Optional[Triple]:
-    def resolve(part):
+    term_of,
+) -> Optional[Triple | Quad]:
+    """Ground a CONSTRUCT triple template (a :class:`Triple`) or an
+    update quad template (a :class:`Quad`) against one solution row.
+
+    ``None`` when a template variable is unbound in the row or the
+    grounded statement is not valid RDF (e.g. a literal subject).
+    """
+    parts = [template.subject, template.predicate, template.object]
+    is_quad = isinstance(template, QuadPattern)
+    if is_quad:
+        parts.append(template.graph)  # None: the default graph
+    terms = []
+    for part in parts:
         if isinstance(part, str):
             position = index.get(part)
-            if position is None:
-                return None
-            value = row[position]
+            value = None if position is None else row[position]
             if value is None or value <= 0:
                 return None
-            return ctx.values.term(value)
-        return part
-
-    subject = resolve(template.subject)
-    predicate = resolve(template.predicate)
-    obj = resolve(template.object)
-    if subject is None or predicate is None or obj is None:
-        return None
+            part = term_of(value)
+        terms.append(part)
     try:
-        return Triple(subject, predicate, obj)
+        return Quad(*terms) if is_quad else Triple(*terms)
     except Exception:
         return None

@@ -1,10 +1,11 @@
 """Shared SPARQL expression and aggregate evaluation.
 
-Both execution engines — the reference :class:`repro.sparql.eval.Evaluator`
-and the layered pipeline (:mod:`repro.sparql.physical`) — evaluate the
-same expression AST.  Keeping one implementation here guarantees the two
-cannot drift: FILTER/BIND/HAVING/ORDER BY semantics, the error-as-
-unbound rules, and the aggregate machinery are defined exactly once.
+The layered pipeline (:mod:`repro.sparql.physical`) and the reference
+evaluator the differential tests compare it against
+(:mod:`repro.testing.reference`) evaluate the same expression AST.
+Keeping one implementation here guarantees the two cannot drift:
+FILTER/BIND/HAVING/ORDER BY semantics, the error-as-unbound rules, and
+the aggregate machinery are defined exactly once.
 
 Variables resolve through a ``get(name) -> Optional[Term]`` callback so
 the evaluator stays representation-agnostic; EXISTS — the one construct
@@ -14,6 +15,7 @@ callback by whichever engine hosts the evaluator.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.terms import IRI, Literal, Term
@@ -314,7 +316,37 @@ def expression_children(expression: Expression):
         return expression.args
     if isinstance(expression, InExpr):
         return (expression.value,) + expression.options
+    if isinstance(expression, AggregateExpr):
+        return () if expression.argument is None else (expression.argument,)
     return ()
+
+
+def map_children(expression: Expression, fn) -> Expression:
+    """``expression`` rebuilt with ``fn`` applied to each of its
+    :func:`expression_children`."""
+    if isinstance(expression, (OrExpr, AndExpr)):
+        return replace(
+            expression, operands=tuple(map(fn, expression.operands))
+        )
+    if isinstance(expression, (NotExpr, NegExpr)):
+        return replace(expression, operand=fn(expression.operand))
+    if isinstance(expression, (CompareExpr, ArithmeticExpr)):
+        return replace(
+            expression, left=fn(expression.left), right=fn(expression.right)
+        )
+    if isinstance(expression, FunctionExpr):
+        return replace(expression, args=tuple(map(fn, expression.args)))
+    if isinstance(expression, InExpr):
+        return replace(
+            expression,
+            value=fn(expression.value),
+            options=tuple(map(fn, expression.options)),
+        )
+    if isinstance(expression, AggregateExpr):
+        if expression.argument is None:
+            return expression
+        return replace(expression, argument=fn(expression.argument))
+    return expression
 
 
 def contains_exists(expression: Expression) -> bool:
@@ -356,41 +388,9 @@ def substitute_aggregates(
         if value is None:
             raise ExpressionError("aggregate evaluation failed")
         return TermExpr(value)
-    if isinstance(expression, OrExpr):
-        return OrExpr(tuple(substitute_aggregates(e, aggregates)
-                            for e in expression.operands))
-    if isinstance(expression, AndExpr):
-        return AndExpr(tuple(substitute_aggregates(e, aggregates)
-                             for e in expression.operands))
-    if isinstance(expression, NotExpr):
-        return NotExpr(substitute_aggregates(expression.operand, aggregates))
-    if isinstance(expression, NegExpr):
-        return NegExpr(substitute_aggregates(expression.operand, aggregates))
-    if isinstance(expression, CompareExpr):
-        return CompareExpr(
-            expression.op,
-            substitute_aggregates(expression.left, aggregates),
-            substitute_aggregates(expression.right, aggregates),
-        )
-    if isinstance(expression, ArithmeticExpr):
-        return ArithmeticExpr(
-            expression.op,
-            substitute_aggregates(expression.left, aggregates),
-            substitute_aggregates(expression.right, aggregates),
-        )
-    if isinstance(expression, FunctionExpr):
-        return FunctionExpr(
-            expression.name,
-            tuple(substitute_aggregates(a, aggregates) for a in expression.args),
-        )
-    if isinstance(expression, InExpr):
-        return InExpr(
-            substitute_aggregates(expression.value, aggregates),
-            tuple(substitute_aggregates(o, aggregates)
-                  for o in expression.options),
-            expression.negated,
-        )
-    return expression
+    return map_children(
+        expression, lambda child: substitute_aggregates(child, aggregates)
+    )
 
 
 def as_number(term: Term) -> float:
@@ -415,7 +415,7 @@ class Reversed:
 
 
 # ----------------------------------------------------------------------
-# Pattern-level helpers shared by both engines
+# Pattern-level helpers shared with the reference evaluator
 # ----------------------------------------------------------------------
 
 

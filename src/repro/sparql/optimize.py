@@ -54,17 +54,8 @@ from repro.sparql.algebra import (
     with_spine_child,
 )
 from repro.sparql.ast import (
-    AggregateExpr,
-    AndExpr,
-    ArithmeticExpr,
-    CompareExpr,
     ExistsExpr,
     Expression,
-    FunctionExpr,
-    InExpr,
-    NegExpr,
-    NotExpr,
-    OrExpr,
     TermExpr,
     VarExpr,
     contains_aggregate,
@@ -75,7 +66,9 @@ from repro.sparql.expr import (
     ExpressionEvaluator,
     constant_equality,
     contains_exists,
+    expression_children,
     group_variables,
+    map_children,
 )
 
 Rule = Callable[[Plan], Plan]
@@ -106,7 +99,7 @@ def _no_vars_get(name: str):  # pragma: no cover - never called
 
 def fold_expression(expression: Expression) -> Expression:
     """Fold variable-free subexpressions to their Term value."""
-    expression = _fold_children(expression)
+    expression = map_children(expression, fold_expression)
     if isinstance(expression, (TermExpr, VarExpr)):
         return expression
     if expression_variables(expression):
@@ -120,34 +113,6 @@ def fold_expression(expression: Expression) -> Expression:
         # the filter reject the row / the BIND produce no value, and
         # those semantics must stay observable.
         return expression
-
-
-def _fold_children(expression: Expression) -> Expression:
-    if isinstance(expression, (OrExpr, AndExpr)):
-        return replace(
-            expression,
-            operands=tuple(fold_expression(e) for e in expression.operands),
-        )
-    if isinstance(expression, (NotExpr, NegExpr)):
-        return replace(expression, operand=fold_expression(expression.operand))
-    if isinstance(expression, (CompareExpr, ArithmeticExpr)):
-        return replace(
-            expression,
-            left=fold_expression(expression.left),
-            right=fold_expression(expression.right),
-        )
-    if isinstance(expression, FunctionExpr):
-        return replace(
-            expression, args=tuple(fold_expression(a) for a in expression.args)
-        )
-    if isinstance(expression, InExpr):
-        return replace(
-            expression,
-            value=fold_expression(expression.value),
-            options=tuple(fold_expression(o) for o in expression.options),
-        )
-    # ExistsExpr / AggregateExpr / leaves: untouched.
-    return expression
 
 
 def fold_constants(plan: Plan) -> Plan:
@@ -268,23 +233,8 @@ def _expression_uses(expression: Expression) -> Set[str]:
     def walk(node: Expression) -> None:
         if isinstance(node, ExistsExpr):
             uses.update(group_variables(node.group))
-        elif isinstance(node, (OrExpr, AndExpr)):
-            for child in node.operands:
-                walk(child)
-        elif isinstance(node, (NotExpr, NegExpr)):
-            walk(node.operand)
-        elif isinstance(node, (CompareExpr, ArithmeticExpr)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FunctionExpr):
-            for child in node.args:
-                walk(child)
-        elif isinstance(node, InExpr):
-            walk(node.value)
-            for child in node.options:
-                walk(child)
-        elif isinstance(node, AggregateExpr) and node.argument is not None:
-            walk(node.argument)
+        for child in expression_children(node):
+            walk(child)
 
     walk(expression)
     return uses

@@ -4,12 +4,18 @@ Each operator is a node in a physical plan tree compiled from the
 logical algebra (:mod:`repro.sparql.algebra`).  There is **one
 execution contract**: an operator implements ``run_batches(ctx)``,
 which yields *batches* — ``(rows, mults)`` with rows as tuples of term
-IDs (``None`` for unbound), exactly like
-:class:`repro.sparql.relation.Relation` rows, and ``mults is None``
+IDs (``None`` for unbound), exactly like the reference evaluator's
+relation rows (:mod:`repro.testing.reference`), and ``mults is None``
 meaning "every multiplicity is 1".  ``PhysicalOp.run`` (``(row,
 multiplicity)`` pairs) is defined once, as the flatten of
 ``run_batches``.  The operator loops are ports of the reference
 evaluator's loops, so the pipeline is multiset-identical to it.
+
+``EXISTS`` is not a separate operator: :class:`Compiler` compiles each
+EXISTS group into a sub-plan whose leaf is a one-row VALUES table
+seeded with the outer row's bindings at run time
+(:class:`CompiledExists`), and the shared expression evaluator's
+``exists=`` hook runs it until its first row.
 
 Every operator has one execution body.  What differs between queries
 is the **input policy**, chosen per query by the executor and applied
@@ -52,6 +58,7 @@ Trace span names are the physical operator names: ``op.IndexScan``,
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field, replace
 from itertools import chain as _chain, repeat as _repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -62,6 +69,8 @@ from repro.rdf.terms import Term
 from repro.sparql import algebra as A
 from repro.sparql import functions as F
 from repro.sparql.ast import (
+    AggregateExpr,
+    ExistsExpr,
     Expression,
     FunctionExpr,
     OrderCondition,
@@ -74,10 +83,14 @@ from repro.sparql.errors import EvaluationError, ExpressionError
 from repro.sparql.expr import (
     ExpressionEvaluator,
     Reversed,
+    contains_exists,
+    group_variables,
     internal_checks,
+    map_children,
     passes_checks,
     row_getter,
 )
+from repro.sparql.optimize import optimize
 from repro.sparql.paths import PathEvaluator
 from repro.sparql.plan import (
     HASH_JOIN_MIN_ROWS,
@@ -87,7 +100,6 @@ from repro.sparql.plan import (
     describe_bound,
     order_patterns,
 )
-from repro.sparql.relation import merge_compatible
 from repro.sparql.unparse import render_expr, render_triple
 
 Row = Tuple[Optional[int], ...]
@@ -115,8 +127,8 @@ class ExecContext:
     """Everything the operators need at run time.
 
     One context per query execution; the per-execution state (the path
-    reach cache, the lazily created EXISTS evaluator) lives here so a
-    cached plan can be executed many times.
+    reach cache, the current EXISTS seed rows) lives here so a cached
+    plan can be executed many times, also concurrently.
     """
 
     def __init__(
@@ -151,10 +163,11 @@ class ExecContext:
         #: Target rows per batch on the vectorized path.
         self.batch_size = max(1, batch_size)
         self.paths = PathEvaluator(model, self.lookup, deadline=deadline)
-        #: Shared scalar/aggregate semantics; EXISTS bridges to the
-        #: reference evaluator (the executable spec for subgroups).
+        #: Shared scalar/aggregate semantics; EXISTS runs the compiled
+        #: sub-plan the expression carries (:class:`CompiledExists`).
         self.expr = ExpressionEvaluator(exists=self._exists)
-        self._legacy = None
+        #: EXISTS seed leaf -> the one-row table it emits on its next run.
+        self.seeds: Dict["ValuesOp", List[Row]] = {}
 
     def lookup(self, term: Term) -> Optional[int]:
         return self.network.lookup_term(term)
@@ -182,19 +195,8 @@ class ExecContext:
             return _repeat(self.batch_size)
         return _ramp_sizes(self.batch_size)
 
-    def _exists(self, expression, get) -> Term:
-        if self._legacy is None:
-            from repro.sparql.eval import Evaluator
-
-            self._legacy = Evaluator(
-                self.network,
-                self.model,
-                union_default_graph=self.union_default,
-                filter_pushdown=self.filter_pushdown,
-                collector=self.collector,
-                deadline=self.deadline,
-            )
-        return self._legacy.evaluate_exists(expression, get)
+    def _exists(self, expression: "CompiledExists", get) -> Term:
+        return F.boolean(expression.holds(self, get) != expression.negated)
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +355,29 @@ def _observed(
 
 
 # ----------------------------------------------------------------------
-# The shared join loop (port of repro.sparql.relation join / left_join)
+# The shared join loop (port of the reference join / left_join)
 # ----------------------------------------------------------------------
+
+
+def merge_compatible(
+    lrow: Row,
+    rrow: Row,
+    left_pos: List[int],
+    right_pos: List[int],
+    right_extra: List[int],
+) -> Optional[Row]:
+    """The SPARQL compatible-mapping merge of two rows (``None`` when
+    they disagree on a shared variable); left unbound values are
+    filled from the right."""
+    for lp, rp in zip(left_pos, right_pos):
+        lval, rval = lrow[lp], rrow[rp]
+        if lval is not None and rval is not None and lval != rval:
+            return None
+    merged = list(lrow)
+    for lp, rp in zip(left_pos, right_pos):
+        if merged[lp] is None:
+            merged[lp] = rrow[rp]
+    return tuple(merged) + tuple(rrow[i] for i in right_extra)
 
 
 def _join_batches(
@@ -367,11 +390,11 @@ def _join_batches(
     outer: bool = False,
 ) -> Iterator[Batch]:
     """Join ``left`` batches against a hashed ``right``, emitting rows
-    in :func:`repro.sparql.relation.join` order (``outer``:
-    :func:`~repro.sparql.relation.left_join`, unmatched left rows
-    padded).  Without shared variables every key is ``()`` — the
-    cartesian product.  Fully bound probe keys concatenate precomputed
-    right fragments without the per-candidate compatibility merge.
+    in the reference ``join`` order (``outer``: ``left_join``,
+    unmatched left rows padded).  Without shared variables every key is
+    ``()`` — the cartesian product.  Fully bound probe keys concatenate
+    precomputed right fragments without the per-candidate compatibility
+    merge.
 
     One left row emits its whole fan-out before the batch can flush,
     so ``deadline.tick`` per left row is too coarse on its own: every
@@ -459,6 +482,9 @@ class PhysicalOp:
     certain: frozenset = frozenset()
     #: Prerendered label detail for EXPLAIN (set by the compiler).
     detail: str = ""
+    #: Roots of the EXISTS sub-plans this operator's expressions run
+    #: (set by the compiler; listed after the input among children).
+    subplans: Tuple["PhysicalOp", ...] = ()
 
     def children(self) -> Tuple["PhysicalOp", ...]:
         return ()
@@ -481,7 +507,11 @@ class UnitOp(PhysicalOp):
 
 
 class ValuesOp(PhysicalOp):
-    """VALUES: an inline table (term IDs encoded at compile time)."""
+    """VALUES: an inline table (term IDs encoded at compile time).
+
+    The leaf of an EXISTS sub-plan is an empty table whose one row is
+    supplied per outer row through ``ctx.seeds``.
+    """
 
     name = "Values"
 
@@ -498,11 +528,12 @@ class ValuesOp(PhysicalOp):
         )
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        rows = ctx.seeds.get(self, self.rows)
         sizes = ctx.chunk_sizes()
         start = 0
-        while start < len(self.rows):
+        while start < len(rows):
             stop = start + next(sizes)
-            yield self.rows[start:stop], None
+            yield rows[start:stop], None
             start = stop
 
 
@@ -1122,7 +1153,7 @@ class FilterApplyOp(PhysicalOp):
                 self._vector_test = ("BOUND", position)
 
     def children(self):
-        return (self.input,)
+        return (self.input,) + self.subplans
 
     def _row_test(self, ctx: ExecContext):
         """Build the per-row predicate once per execution."""
@@ -1339,7 +1370,7 @@ class ExtendOp(PhysicalOp):
         self.detail = f"?{var} := {render_expr(expression)}"
 
     def children(self):
-        return (self.input,)
+        return (self.input,) + self.subplans
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         getter = row_getter(self.input.schema, ctx.term_of)
@@ -1456,7 +1487,7 @@ class OrderByOp(PhysicalOp):
         self.detail = parts + (f" top={top}" if top is not None else "")
 
     def children(self):
-        return (self.input,)
+        return (self.input,) + self.subplans
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         pairs = list(self.input.run(ctx))
@@ -1568,7 +1599,7 @@ class AggregateOp(PhysicalOp):
         self.detail = f"group by {keys}" if keys else ""
 
     def children(self):
-        return (self.input,)
+        return (self.input,) + self.subplans
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         getter = row_getter(self.input.schema, ctx.term_of)
@@ -1682,6 +1713,109 @@ def physical_to_dict(op: PhysicalOp) -> Dict:
     return node
 
 
+def execution_order(op: PhysicalOp) -> Iterator[PhysicalOp]:
+    """The plan's operators leaf first: every child (input, then the
+    right side or EXISTS sub-plans) before its parent."""
+    for child in op.children():
+        yield from execution_order(child)
+    yield op
+
+
+def access_plan(root: PhysicalOp, model, decode) -> List[str]:
+    """The Table 5 access plan of a compiled plan: one line per pattern
+    and path step, in execution order.
+
+    Bound positions and the index come from each step's input schema
+    (what the nested-loop probe binds); the join method is the
+    planner's static NLJ-vs-hash decision on estimated input rows.
+    """
+    lines: List[str] = []
+    rows = 1
+    for op in execution_order(root):
+        step = len(lines) + 1
+        if isinstance(op, PathStepOp):
+            lines.append(
+                f"{step}: {op.detail}  <property path> (frontier walk)"
+            )
+            continue
+        if not isinstance(op, PatternJoinOp):
+            continue
+        pattern, graph = op.pattern, op.graph
+        bound = set(op.input.schema)
+        probe = list(pattern.store_pattern(graph))
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        for position, slot in enumerate(slots):
+            if isinstance(slot, str) and slot in bound:
+                probe[position] = -1  # placeholder: bound per input row
+        if isinstance(graph, str) and graph in bound:
+            probe[3] = -1
+        index, prefix_length = model.choose_index(tuple(probe))
+        estimate = model.estimate(pattern.store_pattern(graph))
+        if op.chain_first:
+            rows = 1
+        method = decide_join(rows, estimate).method
+        rows = max(rows, estimate)
+        scan = "index range scan" if prefix_length else "full index scan"
+        lines.append(
+            f"{step}: {op.detail}  [{describe_bound(pattern, bound, decode)}] "
+            f"{index.spec}M ({scan}, {method})"
+        )
+    return lines
+
+
+# ----------------------------------------------------------------------
+# EXISTS: seeded sub-plans
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompiledExists(ExistsExpr):
+    """``EXISTS { group }`` with its group compiled in the enclosing
+    graph context ``graph``.
+
+    A pattern step never binds a column already in its input, so an
+    unbound outer variable must be *absent* from the seed, not ``None``
+    in it (the reference seeds only the bound variables).  Each set of
+    seeded names thus has its own sub-plan; ``variants`` maps the names
+    to the sub-plan's root and its seed leaf.  The compiler builds the
+    one seeding every ``seedable`` variable (the sub-plan EXPLAIN
+    shows); an outer row leaving some of them unbound (OPTIONAL, a
+    group key) compiles its variant on first use, so a plan never holds
+    more variants than the binding shapes its rows actually had.
+    """
+
+    seedable: Tuple[str, ...] = ()
+    graph: GraphContext = None
+    variants: Dict[Tuple[str, ...], Tuple[PhysicalOp, ValuesOp]] = field(
+        default_factory=dict, compare=False
+    )
+
+    def holds(self, ctx: ExecContext, get) -> bool:
+        """Whether the group has a solution seeded with the bound
+        ``seedable`` variables of the outer row ``get`` resolves."""
+        names: List[str] = []
+        seed: List[int] = []
+        for variable in self.seedable:
+            term = get(variable)
+            if term is not None:
+                names.append(variable)
+                seed.append(ctx.encode_term(term))
+        key = tuple(names)
+        variant = self.variants.get(key)
+        if variant is None:
+            compiler = Compiler(
+                ctx.network, ctx.model, ctx.union_default, ctx.filter_pushdown
+            )
+            # Concurrent runs of a cached plan may both compile; either
+            # variant is correct, setdefault keeps one.
+            variant = self.variants.setdefault(
+                key, compiler.exists_variant(self.group, key, self.graph)
+            )
+        root, leaf = variant
+        ctx.seeds[leaf] = [tuple(seed)]
+        return next(iter(root.run_batches(ctx)), None) is not None
+
+
 # ----------------------------------------------------------------------
 # Compiler: logical algebra -> physical operator tree
 # ----------------------------------------------------------------------
@@ -1697,10 +1831,19 @@ class Compiler:
     fresh join-order estimates.
     """
 
-    def __init__(self, network, model, union_default_graph: bool = True):
+    def __init__(
+        self,
+        network,
+        model,
+        union_default_graph: bool = True,
+        filter_pushdown: bool = True,
+    ):
         self._network = network
         self._model = model
         self._default: GraphContext = None if union_default_graph else 0
+        #: The rewrite rules EXISTS groups are optimized with (the
+        #: enclosing query's own setting).
+        self._filter_pushdown = filter_pushdown
 
     @property
     def default_graph(self) -> GraphContext:
@@ -1741,8 +1884,10 @@ class Compiler:
         if isinstance(plan, A.Graph):
             return self._compile_graph_join(UnitOp(), plan)
         if isinstance(plan, A.Filter):
-            return FilterApplyOp(
-                self.compile(plan.input, graph), plan.expression, plan.origin
+            child = self.compile(plan.input, graph)
+            bind = _ExistsBinder(self, graph, child)
+            return bind.attach(
+                FilterApplyOp(child, bind(plan.expression), plan.origin)
             )
         if isinstance(plan, A.Extend):
             # A SELECT-expression Extend belongs to the select wrapper
@@ -1757,7 +1902,10 @@ class Compiler:
                         f"SELECT expression rebinds ?{plan.var}"
                     )
                 raise EvaluationError(f"BIND rebinds ?{plan.var}")
-            return ExtendOp(child, plan.var, plan.expression, plan.kind)
+            bind = _ExistsBinder(self, child_graph, child)
+            return bind.attach(
+                ExtendOp(child, plan.var, bind(plan.expression), plan.kind)
+            )
         if isinstance(plan, A.Table):
             rows = [
                 tuple(
@@ -1777,20 +1925,28 @@ class Compiler:
                 )
             else:
                 projections = plan.projections
-            return AggregateOp(
-                child,
-                projections,
-                plan.group_by,
-                plan.group_by_aliases,
-                plan.having,
-                plan.order_by,
+            # Group keys and aggregate arguments read input rows; HAVING,
+            # projections and ORDER BY outside aggregates read the
+            # group's key environment.
+            keys = tuple(
+                e.name for e in plan.group_by if isinstance(e, VarExpr)
+            ) + tuple(a for a in plan.group_by_aliases if a is not None)
+            bind = _ExistsBinder(self, self._default, child, keys)
+            return bind.attach(
+                AggregateOp(
+                    child,
+                    tuple(map(bind.inside, projections)),
+                    tuple(bind(e, bind.rows) for e in plan.group_by),
+                    plan.group_by_aliases,
+                    tuple(map(bind, plan.having)),
+                    tuple(map(bind.inside, plan.order_by)),
+                )
             )
         if isinstance(plan, A.OrderBy):
-            return OrderByOp(
-                self.compile(plan.input, self._default),
-                plan.conditions,
-                plan.top,
-            )
+            child = self.compile(plan.input, self._default)
+            bind = _ExistsBinder(self, self._default, child)
+            conditions = tuple(map(bind.inside, plan.conditions))
+            return bind.attach(OrderByOp(child, conditions, plan.top))
         if isinstance(plan, A.Project):
             child = self.compile(plan.input, self._default)
             if plan.projections is None:
@@ -1892,6 +2048,50 @@ class Compiler:
                 remaining.append(expression)
         return remaining, op
 
+    # -- EXISTS --------------------------------------------------------
+
+    def _compile_exists(
+        self,
+        expression: ExistsExpr,
+        graph: GraphContext,
+        schema: Tuple[str, ...],
+    ) -> CompiledExists:
+        """The group compiled in the enclosing graph context (SPARQL
+        1.1's active graph), with the sub-plan seeding every outer
+        variable it correlates with; the variants for rows that leave
+        some unbound are compiled on first use
+        (:meth:`CompiledExists.holds`)."""
+        correlated = group_variables(expression.group)
+        if isinstance(graph, str):
+            correlated.add(graph)  # GRAPH ?g: the seeded ?g is the graph
+        seedable = tuple(v for v in schema if v in correlated)
+        compiled = CompiledExists(
+            expression.group, expression.negated, seedable, graph
+        )
+        compiled.variants[seedable] = self.exists_variant(
+            expression.group, seedable, graph
+        )
+        return compiled
+
+    def exists_variant(
+        self, group, names: Tuple[str, ...], graph: GraphContext
+    ) -> Tuple[PhysicalOp, ValuesOp]:
+        """The sub-plan of an EXISTS ``group`` seeded with ``names``:
+        its root and its seed leaf."""
+        start = A.Table(names, ())
+        root = self.compile(
+            optimize(
+                A.lower_group(group, start),
+                filter_pushdown=self._filter_pushdown,
+            ),
+            graph,
+        )
+        leaf = root
+        while leaf.children():  # the group's fold starts at the seed
+            leaf = leaf.children()[0]
+        leaf.detail = " ".join([f"?{v}" for v in names] + ["× outer row"])
+        return root, leaf
+
     # -- helpers -------------------------------------------------------
 
     def _compile_graph_join(
@@ -1934,6 +2134,59 @@ class Compiler:
             f"?{slot}" if isinstance(slot, str) else self._decode(slot)
             for slot in (pattern.subject, pattern.predicate, pattern.object)
         )
+
+
+class _ExistsBinder:
+    """Compiles every EXISTS in one operator's expressions into a
+    :class:`CompiledExists`; :meth:`attach` lists their sub-plans on the
+    operator.
+
+    ``scope`` is the schema of the rows the expressions are evaluated
+    over (by default ``input``'s); an aggregate's argument is evaluated
+    over the input rows, ``rows``.
+    """
+
+    def __init__(
+        self,
+        compiler: Compiler,
+        graph: GraphContext,
+        input: PhysicalOp,
+        scope: Optional[Tuple[str, ...]] = None,
+    ):
+        self.compiler = compiler
+        self.graph = graph
+        self.rows = input.schema
+        self.scope = self.rows if scope is None else scope
+        self.found: List[CompiledExists] = []
+
+    def __call__(self, expression: Optional[Expression], scope=None):
+        if expression is None or not contains_exists(expression):
+            return expression
+        if scope is None:
+            scope = self.scope
+        if isinstance(expression, ExistsExpr):
+            compiled = self.compiler._compile_exists(
+                expression, self.graph, scope
+            )
+            self.found.append(compiled)
+            return compiled
+        if isinstance(expression, AggregateExpr):
+            scope = self.rows
+        return map_children(expression, lambda child: self(child, scope))
+
+    def inside(self, node):
+        """A :class:`Projection` or :class:`OrderCondition` with its
+        expression bound (``node`` itself when it has no EXISTS)."""
+        expression = self(node.expression)
+        if expression is node.expression:
+            return node
+        return replace(node, expression=expression)
+
+    def attach(self, op: PhysicalOp) -> PhysicalOp:
+        op.subplans = tuple(
+            exists.variants[exists.seedable][0] for exists in self.found
+        )
+        return op
 
 
 def compile_plan(

@@ -1,4 +1,4 @@
-"""BGP planning: join order, access path selection, EXPLAIN.
+"""BGP planning: join order and the NLJ-vs-hash join decision.
 
 The planner mirrors the behaviour the paper attributes to Oracle:
 
@@ -8,7 +8,7 @@ The planner mirrors the behaviour the paper attributes to Oracle:
   patterns that share variables with what is already bound (index
   nested-loop join);
 * when the accumulated intermediate result is large relative to a full
-  scan of the next pattern, the evaluator switches to a hash join with
+  scan of the next pattern, execution switches to a hash join with
   a full/range scan of the probe side — the paper observes Oracle doing
   exactly this for the 3/4/5-hop and triangle queries.
 """
@@ -55,24 +55,6 @@ class EncodedPattern:
             self.predicate if isinstance(self.predicate, int) else None,
             self.object if isinstance(self.object, int) else None,
             graph if isinstance(graph, int) else None,
-        )
-
-
-@dataclass
-class PlanStep:
-    """One EXPLAIN line: the pattern, its access path and join method."""
-
-    pattern: str
-    bound: str
-    index_spec: str
-    prefix_length: int
-    method: str  # "range scan" / "full scan", "NLJ" / "hash join" / "path"
-
-    def render(self, step: int) -> str:
-        scan = "index range scan" if self.prefix_length else "full index scan"
-        return (
-            f"{step}: {self.pattern}  [{self.bound}] "
-            f"{self.index_spec}M ({scan}, {self.method})"
         )
 
 
@@ -171,11 +153,6 @@ def decide_join(input_rows: int, pattern_estimate: int) -> JoinDecision:
     return JoinDecision(method, input_rows, pattern_estimate)
 
 
-def choose_join_method(input_rows: int, pattern_estimate: int) -> str:
-    """The join method name alone (static EXPLAIN and older callers)."""
-    return decide_join(input_rows, pattern_estimate).method
-
-
 def describe_bound(
     pattern: EncodedPattern, bound: Set[str], decode
 ) -> str:
@@ -191,51 +168,3 @@ def describe_bound(
         elif slot in bound:
             parts.append(f"{letter}=?{slot}")
     return " and ".join(parts) if parts else "unbound"
-
-
-def explain_bgp(
-    patterns: Sequence[EncodedPattern],
-    model,
-    graph: GraphContext,
-    decode,
-    initially_bound: Set[str] = frozenset(),
-    input_rows: int = 1,
-) -> List[PlanStep]:
-    """Produce the EXPLAIN steps for a BGP without executing it."""
-    ordered = order_patterns(patterns, model, graph, initially_bound)
-    bound: Set[str] = set(initially_bound)
-    steps: List[PlanStep] = []
-    rows = max(1, input_rows)
-    for pattern in ordered:
-        scan_pattern = list(pattern.store_pattern(graph))
-        # Positions holding bound variables probe with concrete values.
-        for position, slot in enumerate(
-            (pattern.subject, pattern.predicate, pattern.object)
-        ):
-            if isinstance(slot, str) and slot in bound:
-                scan_pattern[position] = -1  # placeholder: "will be bound"
-        index, prefix_length = model.choose_index(tuple(scan_pattern))
-        estimate = model.estimate(pattern.store_pattern(graph))
-        method = choose_join_method(rows, estimate)
-        steps.append(
-            PlanStep(
-                pattern=_render_pattern(pattern, decode),
-                bound=describe_bound(pattern, bound, decode),
-                index_spec=index.spec,
-                prefix_length=prefix_length,
-                method=method,
-            )
-        )
-        bound |= pattern.variables()
-        rows = max(rows, estimate)
-    return steps
-
-
-def _render_pattern(pattern: EncodedPattern, decode) -> str:
-    def slot_text(slot: Slot) -> str:
-        return f"?{slot}" if isinstance(slot, str) else decode(slot)
-
-    return " ".join(
-        slot_text(slot)
-        for slot in (pattern.subject, pattern.predicate, pattern.object)
-    )

@@ -4,7 +4,8 @@ The paper (Section 2.1) notes that updates in the RDF model reduce to
 DELETE + INSERT of quads, and that update cost is dominated by locating
 the affected quads — i.e. by query performance.  This module implements
 INSERT DATA / DELETE DATA / DELETE-INSERT-WHERE / CLEAR against a
-semantic model.
+semantic model; a WHERE clause runs through the same compiled pipeline
+(algebra → optimizer → physical operators) as a query.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.quad import Quad
+from repro.sparql import algebra as A
 from repro.sparql.ast import (
     ClearUpdate,
     DeleteDataUpdate,
@@ -22,7 +24,9 @@ from repro.sparql.ast import (
 )
 from repro.sparql.deadline import Deadline
 from repro.sparql.errors import EvaluationError
-from repro.sparql.eval import Evaluator
+from repro.sparql.executor import instantiate
+from repro.sparql.optimize import optimize
+from repro.sparql.physical import ExecContext, compile_plan
 
 
 class UpdateExecutor:
@@ -88,26 +92,20 @@ class UpdateExecutor:
         return quads
 
     def _run_modify(self, operation: ModifyUpdate) -> Tuple[int, int]:
-        model = self._network.model(self._model_name)
-        evaluator = Evaluator(
-            self._network, model, union_default_graph=self._union_default,
-            deadline=self._deadline,
-        )
-        relation = evaluator.evaluate_group(
-            operation.where, None if self._union_default else 0
-        )
-        index = {v: i for i, v in enumerate(relation.variables)}
+        rows, schema = self._where_rows(operation)
+        index = {v: i for i, v in enumerate(schema)}
+        term_of = self._network.values.term
         to_delete: List[Quad] = []
         to_insert: List[Quad] = []
-        for row in relation.rows:
+        for row in rows:
             if self._deadline is not None:
                 self._deadline.tick()
             for template in operation.delete_templates:
-                quad = self._instantiate(template, row, index)
+                quad = instantiate(template, row, index, term_of)
                 if quad is not None:
                     to_delete.append(quad)
             for template in operation.insert_templates:
-                quad = self._instantiate(template, row, index)
+                quad = instantiate(template, row, index, term_of)
                 if quad is not None:
                     to_insert.append(quad)
         deleted = sum(
@@ -118,37 +116,38 @@ class UpdateExecutor:
         )
         return inserted, deleted
 
-    def _instantiate(
-        self, template: QuadPattern, row: Tuple, index: Dict[str, int]
-    ) -> Optional[Quad]:
-        def resolve(part):
-            if part is None:
-                return None
-            if isinstance(part, str):
-                position = index.get(part)
-                if position is None:
-                    return _MISSING
-                value = row[position]
-                if value is None or value <= 0:
-                    return _MISSING
-                return self._network.values.term(value)
-            return part
+    def _where_rows(self, operation: ModifyUpdate):
+        """The WHERE solutions as ``(rows, schema)``.
 
-        subject = resolve(template.subject)
-        predicate = resolve(template.predicate)
-        obj = resolve(template.object)
-        graph = resolve(template.graph)
-        if _MISSING in (subject, predicate, obj, graph):
-            return None
-        try:
-            return Quad(subject, predicate, obj, graph)
-        except Exception:
-            return None
+        Compiled per operation against the live network, so operation
+        *n* sees operations 1..n-1 of the same request; never cached,
+        because every write changes ``data_version``.  The rows are
+        drained completely before the caller's first write: a lazy scan
+        over pages that are being mutated would be a bug.
+        """
+        model = self._network.model(self._model_name)
+        templates = operation.delete_templates + operation.insert_templates
+        templated = frozenset(
+            part
+            for template in templates
+            for part in (
+                template.subject, template.predicate, template.object,
+                template.graph,
+            )
+            if isinstance(part, str)
+        )
+        plan = optimize(A.lower_group(operation.where), protected=templated)
+        root = compile_plan(plan, self._network, model, self._union_default)
+        ctx = ExecContext(
+            self._network,
+            model,
+            union_default_graph=self._union_default,
+            deadline=self._deadline,
+            streaming=False,
+        )
+        return [row for row, _ in root.run(ctx)], root.schema
 
     def _run_clear(self, operation: ClearUpdate) -> int:
         # Routed through the network (not the model) so durable stores
         # journal the CLEAR in their write-ahead log.
         return self._network.clear_model(self._model_name, operation.graph)
-
-
-_MISSING = object()

@@ -219,7 +219,7 @@ from repro.datasets.twitter import (
     generate_twitter,
     hub_vertex,
 )
-from repro.sparql.eval import Evaluator
+from repro.testing.reference import Evaluator
 from repro.sparql.results import SelectResult
 
 
@@ -332,6 +332,27 @@ class TestPipelineMatchesEvaluatorOnForms:
         "{ ?x <http://ex/knows> ?y }",
         "DESCRIBE <http://ex/alice>",
         "DESCRIBE ?x WHERE { ?x <http://ex/age> ?a FILTER (?a > 25) }",
+        # Correlated EXISTS whose outer ?y is unbound by OPTIONAL for
+        # bob and carol: there ?y must be free in the group (nobody
+        # both knows someone and has a `since`), not a wildcard probe.
+        "SELECT ?x ?y WHERE { ?x <http://ex/age> ?a "
+        "OPTIONAL { ?x <http://ex/likes> ?y } "
+        "FILTER EXISTS { ?y <http://ex/knows> ?z . "
+        "?y <http://ex/since> ?s } }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y "
+        "FILTER NOT EXISTS { ?y <http://ex/age> ?a FILTER (?a > 25) } }",
+        "SELECT ?x WHERE { ?x <http://ex/knows> ?y FILTER EXISTS "
+        "{ ?y <http://ex/knows> ?z FILTER NOT EXISTS "
+        "{ ?z <http://ex/age> ?a FILTER (?a < 25) } } }",
+        "SELECT ?x ?has WHERE { ?x <http://ex/age> ?a "
+        "BIND (EXISTS { ?x <http://ex/likes> ?y } AS ?has) }",
+        "SELECT ?x (NOT EXISTS { ?x <http://ex/knows> <http://ex/alice> } "
+        "AS ?lone) WHERE { ?x <http://ex/name> ?n }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y "
+        "FILTER EXISTS { ?y <http://ex/age> ?a } } ORDER BY ?x ?y LIMIT 2",
+        "SELECT ?g ?x WHERE { GRAPH ?g { ?x <http://ex/likes> ?y "
+        "FILTER (EXISTS { ?g <http://ex/since> ?s } "
+        "&& NOT EXISTS { ?x <http://ex/knows> ?z }) } }",
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
@@ -474,3 +495,106 @@ class TestBatchSizeBoundaries:
                 assert not Counter(limited) - Counter(oracle), (
                     f"batch_size={batch_size}"
                 )
+
+
+# ----------------------------------------------------------------------
+# UPDATE WHERE: the compiled pipeline vs the oracle's WHERE relation
+# ----------------------------------------------------------------------
+
+_UPDATE_QUADS = [
+    Quad(IRI(EX + "a"), IRI(EX + "old"), IRI(EX + "b")),
+    Quad(IRI(EX + "b"), IRI(EX + "old"), IRI(EX + "c")),
+    Quad(IRI(EX + "a"), IRI(EX + "name"), Literal("A")),
+]
+
+#: Every DELETE/INSERT WHERE text of tests/test_sparql_update.py, plus
+#: the benchmark's set-node-property write (whose OPTIONAL leaves ?old
+#: unbound the first time and bound the second).
+UPDATES = [
+    "DELETE { ?x ex:old ?y } INSERT { ?x ex:new ?y } WHERE { ?x ex:old ?y }",
+    "DELETE WHERE { ?x ex:old ?y }",
+    'INSERT { ?x ex:label "node" } WHERE { ?x ex:old ?y }',
+    "DELETE { ?x ex:old ?y } WHERE { ?x ex:old ?y FILTER (?x = ex:a) }",
+    "DELETE { ?x ex:old ?y } WHERE { ?x ex:old ?y . ?x ex:nope ?z }",
+    "DELETE { GRAPH ?e { ?e <http://pg/k/since> ?y } } "
+    "INSERT { GRAPH ?e { ?e <http://pg/k/sinceYear> ?y } } "
+    "WHERE { GRAPH ?e { ?e <http://pg/k/since> ?y } }",
+    'DELETE { ex:a ex:status ?old } INSERT { ex:a ex:status "v1" } '
+    "WHERE { OPTIONAL { ex:a ex:status ?old } } ; "
+    'DELETE { ex:a ex:status ?old } INSERT { ex:a ex:status "v2" } '
+    "WHERE { OPTIONAL { ex:a ex:status ?old } }",
+]
+
+
+def _update_engine():
+    """The test_sparql_update.py data plus one NG edge with a KV."""
+    from repro import PropertyGraph
+
+    graph = PropertyGraph()
+    graph.add_vertex(1)
+    graph.add_vertex(2)
+    graph.add_edge(1, "follows", 2, {"since": 2007}, edge_id=3)
+    store = PropertyGraphRdfStore(model=MODEL_NG)
+    store.load(graph)
+    network = SemanticNetwork()
+    network.create_model("m")
+    network.bulk_load("m", list(store.quads()) + _UPDATE_QUADS)
+    return SparqlEngine(network, prefixes={"ex": EX}, default_model="m")
+
+
+def _oracle_update(engine, text):
+    """The quad set ``text`` should leave: each operation's templates
+    instantiated over the oracle's WHERE relation, deletes first."""
+    from repro.sparql.executor import instantiate
+
+    network = engine.network
+    name = engine._model_name(None)
+    quads = set(network.quads(name))
+    for operation in engine._parser.parse_update(text).operations:
+        evaluator = Evaluator(
+            network,
+            network.model(name),
+            union_default_graph=engine._union_default,
+        )
+        relation = evaluator.evaluate_group(
+            operation.where, None if engine._union_default else 0
+        )
+        index = {v: i for i, v in enumerate(relation.variables)}
+        for templates, apply in (
+            (operation.delete_templates, quads.discard),
+            (operation.insert_templates, quads.add),
+        ):
+            for row in relation.rows:
+                for template in templates:
+                    quad = instantiate(
+                        template, row, index, network.values.term
+                    )
+                    if quad is not None:
+                        apply(quad)
+        # Later operations see this one's effects.
+        network.clear_model(name, None)
+        network.bulk_load(name, quads)
+    return quads
+
+
+@pytest.mark.parametrize("text", UPDATES)
+def test_update_matches_oracle_where(text):
+    expected = _oracle_update(_update_engine(), text)
+    engine = _update_engine()
+    engine.update(text)
+    assert set(engine.network.quads(engine._model_name(None))) == expected
+
+
+def test_production_modules_do_not_import_the_oracle():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.cli, repro.server, repro.core, repro.sparql; "
+        "print('repro.testing.reference' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert completed.stdout.strip() == "False"

