@@ -7,10 +7,33 @@ evaluator (:mod:`repro.testing.reference`) interprets it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.rdf.terms import Term
+
+# ----------------------------------------------------------------------
+# Parameter slots
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """A constant lifted out of a query into slot ``index`` (see
+    :func:`repro.sparql.plancache.lift`).
+
+    ``term`` is the value the slot was lifted from.  It takes no part
+    in equality or hashing, so queries that differ only in lifted
+    constants are equal — the plan cache's key — while the compiler
+    can still read a concrete value for its estimates and renderings.
+    """
+
+    index: int
+    term: Term = field(compare=False)
+
+    def n3(self) -> str:
+        return self.term.n3()
+
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -143,8 +166,9 @@ Path = Union[
 # Graph patterns
 # ----------------------------------------------------------------------
 
-#: A subject/object position: a term or a variable name.
-TermOrVar = Union[Term, str]
+#: A subject/object position: a term (or a lifted :class:`Param`) or
+#: a variable name.
+TermOrVar = Union[Term, Param, str]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from repro.sparql.physical import (
     physical_to_dict,
     render_physical,
 )
-from repro.sparql.plancache import PlanCache
+from repro.sparql.plancache import PlanCache, lift, statistics_epoch
 from repro.sparql.results import SelectResult
 from repro.sparql.update import UpdateExecutor
 
@@ -98,9 +98,11 @@ class SparqlEngine:
         #: thread, the engine nests its spans under it instead of
         #: starting a second one.
         self.trace = trace
-        #: LRU cache of compiled plans keyed by (query text, model
-        #: name), invalidated by the network's ``data_version``.
-        #: Prepared queries run from an AST (no text) bypass it.
+        #: LRU cache of compiled plans keyed by (query shape, model
+        #: name) — constants lifted to slots, bound per execution — and
+        #: invalidated by the model's statistics epoch, not by writes
+        #: (:mod:`repro.sparql.plancache`).  Every front-end and
+        #: prepared query shares it.
         self.plan_cache = PlanCache(plan_cache_size)
         #: Target rows per batch on the vectorized execution path.
         #: ``REPRO_BATCH_SIZE`` overrides the default (the CI matrix
@@ -201,8 +203,9 @@ class SparqlEngine:
         The query is parsed and lowered per the paper's Table 3 rules
         into the same AST the SPARQL parser produces, then runs through
         the identical pinned-snapshot pipeline as :meth:`query` — plan
-        cache (under a ``pgql[<encoding>]``-prefixed key), optimizer,
-        EXPLAIN/trace and batched execution included.
+        cache (one entry per query shape, shared with SPARQL queries of
+        the same shape), optimizer, EXPLAIN/trace and batched execution
+        included.
         """
         if self._trace_wanted():
             with _trace.tracing("query"):
@@ -219,16 +222,15 @@ class SparqlEngine:
         # Same contract as _parse_and_run: pin the snapshot before
         # translation so the whole request sees one data_version.
         snapshot = self._pin_snapshot()
-        ast, cache_text = self._pgql_translate(text, encoding)
+        ast, label = self._pgql_translate(text, encoding)
         return self.run_ast(
-            ast, model, text=cache_text, timeout=timeout, snapshot=snapshot
+            ast, model, text=label, timeout=timeout, snapshot=snapshot
         )
 
     def _pgql_translate(self, text: str, encoding: Optional[str]):
-        """Parse + compile PGQL text; returns ``(sparql_ast, cache_text)``.
+        """Parse + compile PGQL text; returns ``(sparql_ast, label)``.
 
-        ``cache_text`` carries a ``pgql[<encoding>]`` prefix so PGQL and
-        SPARQL plans can never collide in the shared plan cache, and so
+        ``label`` is the text with a ``pgql[<encoding>]`` prefix, so
         slow-log/trace entries are recognisably PGQL.
         """
         from repro.pgql import parse as _pgql_parse
@@ -352,21 +354,23 @@ class SparqlEngine:
         snapshot,
     ):
         """Fetch-or-compile a plan, then run it through the executor."""
-        compiled = self._compiled_for(
+        compiled, params = self._compiled_for(
             ast, model_name, store_model, text, snapshot
         )
         if traced:
             with _trace.span("execute", form=type(ast).__name__):
                 return self._execute(
-                    compiled, snapshot, store_model, collector, deadline
+                    compiled, params, snapshot, store_model, collector,
+                    deadline,
                 )
         return self._execute(
-            compiled, snapshot, store_model, collector, deadline
+            compiled, params, snapshot, store_model, collector, deadline
         )
 
     def _execute(
         self,
         compiled: CompiledQuery,
+        params,
         snapshot,
         store_model,
         collector: Optional[QueryCollector],
@@ -381,36 +385,39 @@ class SparqlEngine:
             collector=collector,
             deadline=deadline,
             batch_size=self.batch_size,
+            params=params,
         )
 
     def _compiled_for(
         self, ast, model_name: str, store_model, text: Optional[str], snapshot
-    ) -> CompiledQuery:
-        """Plan-cache fetch, falling back to a fresh compile.
+    ):
+        """Plan-cache fetch, falling back to a fresh compile; returns
+        ``(compiled, params)``.
 
-        The cache is keyed to the *pinned snapshot's* version, and the
-        compile runs against that same immutable snapshot — so the
-        version an entry is stored under can never disagree with the
-        data it was compiled from, even while writers bump
-        ``network.data_version`` concurrently (the invalidation race
-        the pre-MVCC engine had).
+        The key is the query's shape — :func:`~repro.sparql.plancache.lift`
+        turns its constants into slots whose values, ``params``, the
+        executor binds — so every query of a cached shape hits, whatever
+        its constants, front-end or text.  A miss compiles against the
+        pinned snapshot's statistics; entries go stale only when the
+        model's statistics epoch moves, never on DML.
 
         Cache hits/misses/evictions are reported through the metrics
         helpers, so they land both in the process registry (the
         ``plan_cache.*`` counters on ``GET /metrics``) and in the
         per-query collector (``result.stats``) when one is active.
         """
-        version = snapshot.data_version
-        key = (text, model_name) if text is not None else None
-        cached = None if key is None else self.plan_cache.get(key, version)
-        with _trace.span("plan", cached=cached is not None):
+        with _trace.span("plan") as plan_span:
+            shape, params = lift(ast)
+            key = (shape, model_name)
+            epoch = statistics_epoch(store_model)
+            cached = self.plan_cache.get(key, epoch)
+            plan_span.set("cached", cached is not None)
             if cached is not None:
                 _obs.inc("plan_cache.hits")
-                return cached
-            if key is not None:
-                _obs.inc("plan_cache.misses")
+                return cached, params
+            _obs.inc("plan_cache.misses")
             compiled = compile_query(
-                ast,
+                shape,
                 snapshot,
                 store_model,
                 model_name,
@@ -422,11 +429,10 @@ class SparqlEngine:
                     else "sparql"
                 ),
             )
-            if key is not None:
-                evicted = self.plan_cache.put(key, version, compiled)
-                if evicted:
-                    _obs.inc("plan_cache.evictions", evicted)
-            return compiled
+            evicted = self.plan_cache.put(key, epoch, compiled)
+            if evicted:
+                _obs.inc("plan_cache.evictions", evicted)
+            return compiled, params
 
     def _pin_snapshot(self):
         """Pin the store's latest committed snapshot (lock-free).
@@ -492,6 +498,7 @@ class SparqlEngine:
             self.network,
             self._model_name(model),
             union_default_graph=self._union_default,
+            filter_pushdown=self._filter_pushdown,
             deadline=deadline,
         )
         try:
@@ -572,9 +579,7 @@ class SparqlEngine:
             raise EvaluationError("cannot explain this form")
         compiled, store_model = self._compile_live(ast, model, "sparql")
         return access_plan(
-            compiled.root,
-            store_model,
-            lambda term_id: self.network.values.term(term_id).n3(),
+            compiled.root, store_model, self.network.lookup_term
         )
 
     def explain_analyze(

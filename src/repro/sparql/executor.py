@@ -7,9 +7,13 @@
 ``execute`` runs a compiled query against the store and shapes the
 result per query form (SELECT / ASK / CONSTRUCT / DESCRIBE).
 
-Compiled queries are immutable and reusable: the engine caches them
-keyed by query text, guarded by the network's ``data_version`` (see
-:mod:`repro.sparql.plancache`).
+Compiled queries are immutable and reusable.  The engine compiles the
+*shape* of a query — its constants lifted to
+:class:`~repro.sparql.ast.Param` slots — caches it per shape (see
+:mod:`repro.sparql.plancache`), and binds the lifted values at
+``execute(..., params=)``; one compiled query may run concurrently
+with different bindings.  A query compiled from a concrete AST has no
+slots and runs without ``params``.
 """
 
 from __future__ import annotations
@@ -60,12 +64,12 @@ class CompiledQuery:
     #: per-row generator dispatch cost.
     streaming: bool
     model_name: str
-    #: Network data version at compile time; the plan cache discards
-    #: compiled plans whose version no longer matches.
+    #: Network data version the plan's statistics were read at.  The
+    #: plan itself holds no data: it runs against any snapshot.
     data_version: int
-    #: Source language of the query text: ``"sparql"`` or ``"pgql"``
-    #: (the PGQL front-end lowers to the same AST; this tags plans for
-    #: EXPLAIN and cache introspection).
+    #: Source language of the query the plan was compiled for:
+    #: ``"sparql"`` or ``"pgql"`` (the PGQL front-end lowers to the same
+    #: AST, so a cached plan serves both; this tags EXPLAIN output).
     language: str = "sparql"
 
 
@@ -150,8 +154,13 @@ def execute(
     collector=None,
     deadline=None,
     batch_size: int = 1024,
+    params=(),
 ):
-    """Run a compiled query; the return type depends on the form."""
+    """Run a compiled query; the return type depends on the form.
+
+    ``params`` binds the plan's lifted slots by index (a plan compiled
+    from a concrete AST has none).
+    """
     if deadline is not None:
         deadline.check()
     ctx = ExecContext(
@@ -163,6 +172,7 @@ def execute(
         deadline=deadline,
         streaming=compiled.streaming,
         batch_size=batch_size,
+        params=params,
     )
     if compiled.form == "select":
         return _execute_select(compiled, ctx)
@@ -250,7 +260,7 @@ def _execute_describe(
     constants = [t for t in query.targets if not isinstance(t, str)]
     variables = [t for t in query.targets if isinstance(t, str)]
     for term in constants:
-        encoded = ctx.lookup(term)
+        encoded = ctx.resolve(term)
         if encoded is not None:
             target_ids.append(encoded)
     if variables:

@@ -36,6 +36,7 @@ from repro.sparql.ast import (
     NotExpr,
     OptionalPattern,
     OrExpr,
+    Param,
     Projection,
     TermExpr,
     TriplePattern,
@@ -362,7 +363,9 @@ def constant_equality(expression: Expression):
 
     Returns ``(variable, term)`` or ``None``.  Restricted to IRIs and
     plain string literals, whose SPARQL ``=`` coincides with term
-    identity under our canonicalizing values table.
+    identity under our canonicalizing values table.  A lifted constant
+    comes back as its :class:`Param` (the plan cache only lifts
+    constants that qualify).
     """
     if not isinstance(expression, CompareExpr) or expression.op != "=":
         return None
@@ -373,9 +376,10 @@ def constant_equality(expression: Expression):
         variable, term = right.name, left.term
     else:
         return None
-    if isinstance(term, IRI):
+    value = term.term if isinstance(term, Param) else term
+    if isinstance(value, IRI):
         return variable, term
-    if isinstance(term, Literal) and term.is_plain_string():
+    if isinstance(value, Literal) and value.is_plain_string():
         return variable, term
     return None
 

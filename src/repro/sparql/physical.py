@@ -17,6 +17,11 @@ seeded with the outer row's bindings at run time
 (:class:`CompiledExists`), and the shared expression evaluator's
 ``exists=`` hook runs it until its first row.
 
+Query constants stay terms (or lifted :class:`~repro.sparql.ast.Param`
+slots) in the plan; each operator resolves its own to term IDs when it
+runs (:meth:`ExecContext.resolve`), so one plan serves every binding
+of its shape, concurrently, across DML.
+
 Every operator has one execution body.  What differs between queries
 is the **input policy**, chosen per query by the executor and applied
 by the shared helpers :func:`_input` / :func:`_input_chunks`:
@@ -58,6 +63,7 @@ Trace span names are the physical operator names: ``op.IndexScan``,
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field, replace
 from itertools import chain as _chain, repeat as _repeat
 from operator import itemgetter
@@ -74,16 +80,20 @@ from repro.sparql.ast import (
     Expression,
     FunctionExpr,
     OrderCondition,
+    Param,
     Projection,
+    TermExpr,
     TriplePattern,
     VarExpr,
     contains_aggregate,
+    pattern_variables,
 )
 from repro.sparql.errors import EvaluationError, ExpressionError
 from repro.sparql.expr import (
     ExpressionEvaluator,
     Reversed,
     contains_exists,
+    expression_children,
     group_variables,
     internal_checks,
     map_children,
@@ -111,6 +121,13 @@ Batch = Tuple[List[Row], Optional[List[int]]]
 
 _GRAPH_VAR_PATHS = "property paths inside GRAPH ?var are not supported"
 
+#: A query constant in a plan: a term, or a lifted slot.
+_CONSTANT = (Term, Param)
+
+#: Estimate stand-in for a constant absent from the store: it matches
+#: no index entry, so its pattern estimates at 0 rows.
+_UNSEEN = -1
+
 #: First batch size on the streaming path; doubles per batch up to the
 #: configured batch size, so a Slice or ASK right above a scan chain
 #: stops the scans after its first row, exactly like the old
@@ -126,9 +143,10 @@ _RAMP_START = 1
 class ExecContext:
     """Everything the operators need at run time.
 
-    One context per query execution; the per-execution state (the path
-    reach cache, the current EXISTS seed rows) lives here so a cached
-    plan can be executed many times, also concurrently.
+    One context per query execution; the per-execution state (the
+    bound slot values, the path reach cache, the current EXISTS seed
+    rows) lives here so a cached plan can be executed many times, also
+    concurrently with different bindings.
     """
 
     def __init__(
@@ -141,7 +159,10 @@ class ExecContext:
         deadline=None,
         streaming: bool = True,
         batch_size: int = 1024,
+        params: Tuple[Term, ...] = (),
     ):
+        #: The values of the plan's :class:`Param` slots, by index.
+        self.params = params
         self.network = network
         self.values = network.values
         self.model = model
@@ -162,15 +183,28 @@ class ExecContext:
         self.materialize = self.instrumented or not streaming
         #: Target rows per batch on the vectorized path.
         self.batch_size = max(1, batch_size)
-        self.paths = PathEvaluator(model, self.lookup, deadline=deadline)
+        # Neither evaluator may refer back to the context: a reference
+        # cycle would keep the pinned snapshot (and the pages writers
+        # have copied since) alive until the next garbage collection.
+        self.paths = PathEvaluator(
+            model, network.lookup_term, deadline=deadline
+        )
         #: Shared scalar/aggregate semantics; EXISTS runs the compiled
         #: sub-plan the expression carries (:class:`CompiledExists`).
-        self.expr = ExpressionEvaluator(exists=self._exists)
+        self.expr = ExpressionEvaluator(exists=_ExistsHook(self))
         #: EXISTS seed leaf -> the one-row table it emits on its next run.
         self.seeds: Dict["ValuesOp", List[Row]] = {}
 
-    def lookup(self, term: Term) -> Optional[int]:
-        return self.network.lookup_term(term)
+    def bind(self, constant):
+        """The term a plan constant stands for in this run."""
+        if type(constant) is Param:
+            return self.params[constant.index]
+        return constant
+
+    def resolve(self, constant) -> Optional[int]:
+        """Term ID of a plan constant in this run; ``None`` when it is
+        absent from the store."""
+        return self.values.lookup(self.bind(constant))
 
     def encode_term(self, term: Term) -> int:
         return self.network.encode_term(term)
@@ -195,8 +229,73 @@ class ExecContext:
             return _repeat(self.batch_size)
         return _ramp_sizes(self.batch_size)
 
-    def _exists(self, expression: "CompiledExists", get) -> Term:
-        return F.boolean(expression.holds(self, get) != expression.negated)
+
+class _ExistsHook:
+    """The expression evaluator's ``exists=`` callback: runs a
+    :class:`CompiledExists` in its (weakly held) execution context."""
+
+    __slots__ = ("_ctx",)
+
+    def __init__(self, ctx: ExecContext):
+        self._ctx = weakref.ref(ctx)
+
+    def __call__(self, expression: "CompiledExists", get) -> Term:
+        holds = expression.holds(self._ctx(), get)
+        return F.boolean(holds != expression.negated)
+
+
+# ----------------------------------------------------------------------
+# Plan constants
+# ----------------------------------------------------------------------
+
+
+def _n3(constant) -> str:
+    return constant.n3()
+
+
+def _render_slots(slots, render) -> str:
+    """A pattern's EXPLAIN label: variables as ``?v``, constants
+    through ``render`` (``n3`` of a term or slot, or decoding a bound
+    term ID)."""
+    return " ".join(
+        f"?{slot}" if isinstance(slot, str) else render(slot) for slot in slots
+    )
+
+
+def _has_slots(expression: Expression) -> bool:
+    if isinstance(expression, TermExpr):
+        return isinstance(expression.term, Param)
+    return any(map(_has_slots, expression_children(expression)))
+
+
+def _bind_slots(expression: Expression, bind) -> Expression:
+    """``expression`` with each lifted slot replaced by ``bind(slot)``."""
+    if isinstance(expression, TermExpr):
+        term = expression.term
+        return TermExpr(bind(term)) if isinstance(term, Param) else expression
+    return map_children(expression, lambda child: _bind_slots(child, bind))
+
+
+def _seen_id(constant, lookup) -> int:
+    """A constant's term ID for estimates: a slot's first-seen value,
+    :data:`_UNSEEN` when absent from the store."""
+    term = constant.term if isinstance(constant, Param) else constant
+    term_id = lookup(term)
+    return _UNSEEN if term_id is None else term_id
+
+
+def _estimated(pattern: TriplePattern, lookup) -> EncodedPattern:
+    """``pattern`` with first-seen IDs, for estimates."""
+    return EncodedPattern(
+        *(
+            slot if isinstance(slot, str) else _seen_id(slot, lookup)
+            for slot in (pattern.subject, pattern.predicate, pattern.object)
+        )
+    )
+
+
+def _estimated_graph(graph: GraphContext, lookup) -> GraphContext:
+    return _seen_id(graph, lookup) if isinstance(graph, _CONSTANT) else graph
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +400,15 @@ def _input(ctx: ExecContext, op: "PhysicalOp") -> Iterable[Batch]:
     list (drain-then-decide), or the lazy iterator (adaptive)."""
     batches = op.run_batches(ctx)
     return list(batches) if ctx.materialize else batches
+
+
+def _drained(ctx: ExecContext, op: "PhysicalOp") -> Iterator[Batch]:
+    """No solutions, after running ``op`` to completion: the answer for
+    a query constant absent from the store, which the reference
+    evaluator discovers once the preceding elements have run."""
+    for _ in op.run_batches(ctx):
+        pass
+    return iter(())
 
 
 def _input_chunks(ctx: ExecContext, op: "PhysicalOp") -> Iterator[List[Batch]]:
@@ -537,49 +645,16 @@ class ValuesOp(PhysicalOp):
             start = stop
 
 
-class EmptyAfterOp(PhysicalOp):
-    """Yields nothing — after draining its input (the reference
-    evaluator had already evaluated the preceding elements when it
-    discovered a constant is absent from the store)."""
-
-    name = "Empty"
-
-    def __init__(
-        self,
-        input: PhysicalOp,
-        schema: Tuple[str, ...],
-        counters: Tuple[str, ...] = (),
-        detail: str = "",
-    ):
-        self.input = input
-        self.schema = tuple(schema)
-        self.certain = frozenset(self.schema)
-        self.counters = counters
-        self.detail = detail
-
-    def children(self):
-        return (self.input,)
-
-    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        for _ in self.input.run_batches(ctx):
-            pass
-        if _obs.is_active():
-            for counter in self.counters:
-                _obs.inc(counter)
-        return
-        yield  # pragma: no cover - makes this a generator
-
-
 class SeedColumnOp(PhysicalOp):
     """A sargable ``?v = <constant>`` filter turned into a bound column
     (the evaluator's ``_seed_constant_filters``)."""
 
     name = "Seed"
 
-    def __init__(self, input: PhysicalOp, var: str, term_id: int, detail: str):
+    def __init__(self, input: PhysicalOp, var: str, term, detail: str):
         self.input = input
         self.var = var
-        self.term_id = term_id
+        self.term = term
         self.schema = input.schema + (var,)
         self.certain = input.certain | {var}
         self.detail = detail
@@ -590,7 +665,10 @@ class SeedColumnOp(PhysicalOp):
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if _obs.is_active():
             _obs.inc("filter.sargable_seed")
-        term_id = self.term_id
+        term_id = ctx.resolve(self.term)
+        if term_id is None:
+            _drained(ctx, self.input)
+            return
         for rows, mults in self.input.run_batches(ctx):
             yield [row + (term_id,) for row in rows], mults
 
@@ -611,21 +689,35 @@ class PatternJoinOp(PhysicalOp):
     ``chain_first`` marks the first step of a flush: it always
     executes (and records) even over an empty input, mirroring a fresh
     ``_evaluate_bgp`` call in the reference evaluator.
+
+    ``pattern`` and a constant ``graph`` keep the query's terms and
+    slots; each run first resolves them (:meth:`_bind`), together with
+    ``guard`` — on a flush's first step, the later steps' constants.
+    One of them absent from the store empties the flush before any
+    step executes, like the reference evaluator's ``_evaluate_bgp``.
     """
 
     def __init__(
         self,
         input: PhysicalOp,
-        pattern: EncodedPattern,
+        pattern: TriplePattern,
         graph: GraphContext,
         chain_first: bool,
+        guard: Tuple = (),
     ):
         self.input = input
         self.pattern = pattern
         self.graph = graph
         self.chain_first = chain_first
+        self.guard = guard
         slots = (pattern.subject, pattern.predicate, pattern.object)
         self._slots = slots
+        self._constants = tuple(
+            (position, slot)
+            for position, slot in enumerate(slots)
+            if not isinstance(slot, str)
+        )
+        self.detail = _render_slots(slots, _n3)
         in_schema = input.schema
         self._var_index = {v: i for i, v in enumerate(in_schema)}
         # Newly bound variables, in slot order (the NLJ extension).
@@ -656,7 +748,7 @@ class PatternJoinOp(PhysicalOp):
         self.schema = in_schema + tuple(new_vars)
         self.certain = input.certain | set(new_vars)
         self._checks = internal_checks(slots)
-        shared = pattern.variables() & set(in_schema)
+        shared = pattern_variables(pattern) & set(in_schema)
         if self._graph_bound:
             shared = shared | {graph}
         self._shared = shared
@@ -669,12 +761,7 @@ class PatternJoinOp(PhysicalOp):
             if isinstance(slot, str) and slot not in scan_vars:
                 scan_vars.append(slot)
                 scan_positions.append(position)
-        if graph is None:
-            g_slot, named_only, graph_var = None, False, None
-        elif isinstance(graph, int):
-            g_slot, named_only, graph_var = graph, False, None
-        else:
-            g_slot, named_only, graph_var = None, True, graph
+        graph_var = graph if graph_is_var else None
         scan_graph_checks: List[int] = []
         scan_bind_graph = graph_var is not None
         if scan_bind_graph and graph_var in scan_vars:
@@ -688,17 +775,16 @@ class PatternJoinOp(PhysicalOp):
             scan_vars = scan_vars + [graph_var]
         self._scan_vars = tuple(scan_vars)
         self._scan_positions = scan_positions
-        self._scan_g_slot = g_slot
-        self._scan_named_only = named_only
+        self._scan_named_only = graph_is_var
         self._scan_graph_checks = scan_graph_checks
         self._scan_bind_graph = scan_bind_graph
         # -- vectorized NLJ plan (compile-time) ------------------------
-        # Per-slot probe recipe: (0, id) constant, (1, pos) input
-        # column, (2, None) free.
+        # Per-slot probe recipe: (0, position) constant (its ID bound
+        # per run), (1, pos) input column, (2, None) free.
         slot_plan = []
-        for slot in slots:
-            if isinstance(slot, int):
-                slot_plan.append((0, slot))
+        for position, slot in enumerate(slots):
+            if not isinstance(slot, str):
+                slot_plan.append((0, position))
             elif slot in self._var_index:
                 slot_plan.append((1, self._var_index[slot]))
             else:
@@ -706,8 +792,8 @@ class PatternJoinOp(PhysicalOp):
         self._slot_plan = tuple(slot_plan)
         if graph is None:
             self._graph_plan = (0, None)
-        elif isinstance(graph, int):
-            self._graph_plan = (1, graph)
+        elif not graph_is_var:
+            self._graph_plan = (1, None)  # the bound graph ID
         elif self._graph_bound:
             self._graph_plan = (2, self._var_index[graph])
         else:
@@ -742,6 +828,10 @@ class PatternJoinOp(PhysicalOp):
         on the total; a disconnected step peeks for a second row and
         then streams its input through the cartesian loop.
         """
+        bound = self._bind(ctx)
+        if bound is None:
+            yield from _drained(ctx, self.input)
+            return
         sizes = ctx.chunk_sizes()
         chunks = _input_chunks(ctx, self.input)
         executed: Optional[str] = None
@@ -760,14 +850,17 @@ class PatternJoinOp(PhysicalOp):
                 elif rows_in == 1:
                     chunk.extend(next(chunks, ()))
                     rows_in = _batch_rows(chunk)
-                executed, decision, estimate = self._decide(ctx, rows_in)
+                executed, decision, estimate = self._decide(
+                    ctx, rows_in, bound
+                )
                 # A cartesian step streams whatever input is still to
                 # come; every other step covers exactly its chunk.
                 batches: Iterable[Batch] = chunk
                 if executed == "cartesian":
                     batches = _chain(chunk, _chain.from_iterable(chunks))
                 yield from self._step(
-                    ctx, executed, decision, estimate, chunk, batches, sizes
+                    ctx, bound, executed, decision, estimate, chunk,
+                    batches, sizes,
                 )
                 processed = rows_in
                 chunk = next(chunks, None)
@@ -775,11 +868,33 @@ class PatternJoinOp(PhysicalOp):
             if executed is not None and _obs.is_active():
                 _obs.record_join(executed)
 
-    def _decide(self, ctx: ExecContext, rows_in: int):
+    def _bind(self, ctx: ExecContext):
+        """This run's ``(pattern, graph)`` with every constant resolved
+        to its term ID, or ``None`` when one of them (or of ``guard``)
+        is absent from the store."""
+        resolve = ctx.resolve
+        for constant in self.guard:
+            if resolve(constant) is None:
+                return None
+        ids = list(self._slots)
+        for position, constant in self._constants:
+            term_id = resolve(constant)
+            if term_id is None:
+                return None
+            ids[position] = term_id
+        graph = self.graph
+        if isinstance(graph, _CONSTANT):
+            graph = ctx.resolve(graph)
+            if graph is None:
+                return None
+        return EncodedPattern(*ids), graph
+
+    def _decide(self, ctx: ExecContext, rows_in: int, bound):
         """The reference evaluator's strategy choice for a step over
         ``rows_in`` input rows: ``(executed, decision, estimate)``."""
         if rows_in >= HASH_JOIN_MIN_ROWS or ctx.instrumented:
-            estimate = ctx.model.estimate(self.pattern.store_pattern(self.graph))
+            pattern, graph = bound
+            estimate = ctx.model.estimate(pattern.store_pattern(graph))
         else:
             # Below the hash-join threshold the decision is NLJ no
             # matter the estimate, and nobody records it — skip the
@@ -795,15 +910,19 @@ class PatternJoinOp(PhysicalOp):
         return executed, decision, estimate
 
     def _step(
-        self, ctx, executed, decision, estimate, chunk, batches, sizes
+        self, ctx, bound, executed, decision, estimate, chunk, batches, sizes
     ) -> Iterable[Batch]:
+        pattern, graph = bound
         if executed == "NLJ":
-            body = self._nlj_batches(ctx, batches, sizes)
+            body = self._nlj_batches(ctx, batches, sizes, pattern, graph)
         else:
             body = _join_batches(
-                batches, self.input.schema, self._scan_pairs(ctx),
+                batches, self.input.schema,
+                self._scan_pairs(ctx, pattern.store_pattern(graph)),
                 self._scan_vars, ctx.deadline, sizes,
             )
+        if not ctx.instrumented:
+            return body
 
         def fields():
             reason = (
@@ -813,7 +932,7 @@ class PatternJoinOp(PhysicalOp):
             )
             record = dict(
                 bound=describe_bound(
-                    self.pattern, set(self.input.schema), ctx.decode_id
+                    pattern, set(self.input.schema), ctx.decode_id
                 ),
                 join_method=executed,
                 join_reason=reason,
@@ -821,9 +940,10 @@ class PatternJoinOp(PhysicalOp):
             )
             return record, dict(join=executed, estimate=estimate)
 
+        slots = (pattern.subject, pattern.predicate, pattern.object)
         return _observed(
             ctx, body, chunk, "pattern", self._span_name(executed),
-            self.detail, fields,
+            _render_slots(slots, ctx.decode_id), fields,
         )
 
     # -- inner loops (ports of the evaluator) --------------------------
@@ -833,12 +953,20 @@ class PatternJoinOp(PhysicalOp):
         ctx: ExecContext,
         in_batches: Iterable[Batch],
         sizes: Iterator[int],
+        pattern: EncodedPattern,
+        graph: GraphContext,
     ) -> Iterator[Batch]:
         """Vectorized port of the evaluator's ``_nested_loop_step``:
         one index probe per input row, extension rows built as column
         zips by the store (:meth:`SemanticIndex.range_rows`)."""
-        slot_plan = self._slot_plan
+        ids = (pattern.subject, pattern.predicate, pattern.object)
+        slot_plan = tuple(
+            (0, ids[payload]) if kind == 0 else (kind, payload)
+            for kind, payload in self._slot_plan
+        )
         graph_kind, graph_val = self._graph_plan
+        if graph_kind == 1:
+            graph_val = graph
         scan_batches = ctx.model.scan_row_batches
         deadline = ctx.deadline
         fast = self._nlj_fast
@@ -925,15 +1053,8 @@ class PatternJoinOp(PhysicalOp):
             extensions.append(extension)
         return extensions
 
-    def _scan_pairs(self, ctx: ExecContext) -> Iterator[Pair]:
+    def _scan_pairs(self, ctx: ExecContext, scan_pattern) -> Iterator[Pair]:
         """Port of ``_scan_to_relation``: the pattern standalone."""
-        slots = self._slots
-        scan_pattern = (
-            slots[0] if isinstance(slots[0], int) else None,
-            slots[1] if isinstance(slots[1], int) else None,
-            slots[2] if isinstance(slots[2], int) else None,
-            self._scan_g_slot,
-        )
         named_only = self._scan_named_only
         checks = self._checks
         graph_checks = self._scan_graph_checks
@@ -1000,19 +1121,36 @@ class PathStepOp(PhysicalOp):
             # No input: skip the walk (and its all-pairs evaluation).
             return
         batches = _chain(first, _chain.from_iterable(chunks))
+        detail = self.detail
+        if ctx.instrumented:
+            pattern = self.pattern
+            detail = render_triple(
+                replace(
+                    pattern,
+                    subject=ctx.bind(pattern.subject),
+                    object=ctx.bind(pattern.object),
+                )
+            )
         yield from _observed(
             ctx, self._walk(ctx, batches), first, "path", "op.PathClosure",
-            self.detail, lambda: ({"join_method": "path"}, {}), batched=False,
+            detail, lambda: ({"join_method": "path"}, {}), batched=False,
         )
 
     def _walk(
         self, ctx: ExecContext, batches: Iterable[Batch]
     ) -> Iterator[Batch]:
-        """Port of ``_path_step_inner``; endpoint constants resolve at
-        run time (like the evaluator), so an absent constant drains the
-        input and yields nothing."""
-        if isinstance(self.graph, str):
+        """Port of ``_path_step_inner``; endpoint and graph constants
+        resolve at run time (like the evaluator), so an absent constant
+        drains the input and yields nothing."""
+        graph = self.graph
+        if isinstance(graph, str):
             raise EvaluationError(_GRAPH_VAR_PATHS)
+        if isinstance(graph, _CONSTANT):
+            graph = ctx.resolve(graph)
+            if graph is None:
+                for _ in batches:
+                    pass
+                return
         pattern = self.pattern
         path = pattern.predicate
         subject, obj = pattern.subject, pattern.object
@@ -1023,7 +1161,7 @@ class PathStepOp(PhysicalOp):
                 if part in var_index:
                     return ("boundvar", part)
                 return ("freevar", part)
-            return ("const", ctx.lookup(part))
+            return ("const", ctx.resolve(part))
 
         s_kind, s_val = resolve(subject)
         o_kind, o_val = resolve(obj)
@@ -1035,16 +1173,18 @@ class PathStepOp(PhysicalOp):
             return
         if s_kind != "freevar":
             yield from self._from_bound(
-                ctx, batches, s_kind, s_val, o_kind, o_val, subject_side=True
+                ctx, batches, graph, s_kind, s_val, o_kind, o_val,
+                subject_side=True,
             )
             return
         if o_kind != "freevar":
             yield from self._from_bound(
-                ctx, batches, o_kind, o_val, s_kind, s_val, subject_side=False
+                ctx, batches, graph, o_kind, o_val, s_kind, s_val,
+                subject_side=False,
             )
             return
         # Both endpoints free: all-pairs evaluation, then join.
-        pairs = ctx.paths.pairs(path, self.graph)
+        pairs = ctx.paths.pairs(path, graph)
         if subject == obj:
             variables: Tuple[str, ...] = (subject,)
             right: Iterable[Pair] = (
@@ -1059,8 +1199,8 @@ class PathStepOp(PhysicalOp):
         )
 
     def _from_bound(
-        self, ctx, batches, bound_kind, bound_val, other_kind, other_val,
-        subject_side,
+        self, ctx, batches, graph, bound_kind, bound_val, other_kind,
+        other_val, subject_side,
     ) -> Iterator[Batch]:
         """Port of ``_path_from_bound`` (per-execution reach cache)."""
         var_index = self._var_index
@@ -1071,7 +1211,7 @@ class PathStepOp(PhysicalOp):
         def reach(node: int) -> Dict[int, int]:
             found = cache.get(node)
             if found is None:
-                found = walker(path, {node: 1}, self.graph)
+                found = walker(path, {node: 1}, graph)
                 cache[node] = found
             return found
 
@@ -1134,6 +1274,8 @@ class FilterApplyOp(PhysicalOp):
         self._counter = (
             "filter.pushdown" if origin == "pushed" else "filter.group_end"
         )
+        #: A lifted constant is bound into the expression per run.
+        self._slotted = _has_slots(expression)
         # Compile-time vector plan: a single type-test or BOUND over
         # one bound column skips per-row expression evaluation.  An
         # unbound variable raises ExpressionError in the general path
@@ -1155,7 +1297,7 @@ class FilterApplyOp(PhysicalOp):
     def children(self):
         return (self.input,) + self.subplans
 
-    def _row_test(self, ctx: ExecContext):
+    def _row_test(self, ctx: ExecContext, expression: Expression):
         """Build the per-row predicate once per execution."""
         if self._vector_test is not None:
             method, position = self._vector_test
@@ -1166,7 +1308,6 @@ class FilterApplyOp(PhysicalOp):
                 row[position]
             )
         getter = row_getter(self.input.schema, ctx.term_of)
-        expression = self.expression
         evaluate = ctx.expr.evaluate
         ebv = F.ebv
 
@@ -1181,10 +1322,14 @@ class FilterApplyOp(PhysicalOp):
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         if _obs.is_active():
             _obs.inc(self._counter)
+        expression, detail = self.expression, self.detail
+        if self._slotted:
+            expression = _bind_slots(expression, ctx.bind)
+            detail = render_expr(expression)
         batches = _input(ctx, self.input)
-        body = _select_rows(batches, self._row_test(ctx), ctx.tick)
+        body = _select_rows(batches, self._row_test(ctx, expression), ctx.tick)
         return iter(
-            _observed(ctx, body, batches, "filter", "op.Filter", self.detail)
+            _observed(ctx, body, batches, "filter", "op.Filter", detail)
         )
 
 
@@ -1199,9 +1344,12 @@ class JoinOp(PhysicalOp):
 
     name = "HashJoin"
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp):
+    def __init__(self, left: PhysicalOp, right: PhysicalOp, graph=None):
         self.left = left
         self.right = right
+        #: The constant of a ``GRAPH <iri>`` right side: absent from the
+        #: store, the join is empty and the group never runs.
+        self.graph = graph
         self.schema = left.schema + tuple(
             v for v in right.schema if v not in left.schema
         )
@@ -1211,6 +1359,8 @@ class JoinOp(PhysicalOp):
         return (self.left, self.right)
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        if self.graph is not None and ctx.resolve(self.graph) is None:
+            return _drained(ctx, self.left)
         # A drained left runs before the right is built, so operator
         # records appear in the reference evaluator's (sequential) order.
         return _join_batches(
@@ -1721,13 +1871,15 @@ def execution_order(op: PhysicalOp) -> Iterator[PhysicalOp]:
     yield op
 
 
-def access_plan(root: PhysicalOp, model, decode) -> List[str]:
+def access_plan(root: PhysicalOp, model, lookup) -> List[str]:
     """The Table 5 access plan of a compiled plan: one line per pattern
     and path step, in execution order.
 
     Bound positions and the index come from each step's input schema
     (what the nested-loop probe binds); the join method is the
     planner's static NLJ-vs-hash decision on estimated input rows.
+    ``lookup`` resolves the plan's constants (its first-seen values)
+    for the index statistics.
     """
     lines: List[str] = []
     rows = 1
@@ -1740,24 +1892,25 @@ def access_plan(root: PhysicalOp, model, decode) -> List[str]:
             continue
         if not isinstance(op, PatternJoinOp):
             continue
-        pattern, graph = op.pattern, op.graph
+        encoded = _estimated(op.pattern, lookup)
+        graph = _estimated_graph(op.graph, lookup)
         bound = set(op.input.schema)
-        probe = list(pattern.store_pattern(graph))
-        slots = (pattern.subject, pattern.predicate, pattern.object)
+        probe = list(encoded.store_pattern(graph))
+        slots = (encoded.subject, encoded.predicate, encoded.object)
         for position, slot in enumerate(slots):
             if isinstance(slot, str) and slot in bound:
                 probe[position] = -1  # placeholder: bound per input row
         if isinstance(graph, str) and graph in bound:
             probe[3] = -1
         index, prefix_length = model.choose_index(tuple(probe))
-        estimate = model.estimate(pattern.store_pattern(graph))
+        estimate = model.estimate(encoded.store_pattern(graph))
         if op.chain_first:
             rows = 1
         method = decide_join(rows, estimate).method
         rows = max(rows, estimate)
         scan = "index range scan" if prefix_length else "full index scan"
         lines.append(
-            f"{step}: {op.detail}  [{describe_bound(pattern, bound, decode)}] "
+            f"{step}: {op.detail}  [{describe_bound(op.pattern, bound, _n3)}] "
             f"{index.spec}M ({scan}, {method})"
         )
     return lines
@@ -1824,11 +1977,16 @@ class CompiledExists(ExistsExpr):
 class Compiler:
     """Translates an (optimized) logical plan into physical operators.
 
-    Compilation resolves query constants against the store's values
-    table (the reference evaluator does this lazily per flush); the
-    plan cache guards compiled plans with the network's data version,
-    so a mutation always forces a fresh compile with fresh lookups and
-    fresh join-order estimates.
+    The plan keeps query constants as terms or lifted
+    :class:`~repro.sparql.ast.Param` slots, never as term IDs: every
+    operator resolves its constants per run
+    (:meth:`ExecContext.resolve`), like the reference evaluator per
+    flush, so one plan serves every binding of its shape and stays
+    correct across DML.  The store is read only for statistics — the
+    join order estimates a slot by its first-seen value — and to intern
+    VALUES rows (IDs that never change), which is why the plan cache
+    invalidates on a statistics epoch rather than on data
+    (:mod:`repro.sparql.plancache`).
     """
 
     def __init__(
@@ -1973,28 +2131,31 @@ class Compiler:
     def _compile_bgp(
         self, node: A.BGP, graph: GraphContext, input_op: PhysicalOp
     ) -> PhysicalOp:
-        plain: List[EncodedPattern] = []
-        for pattern in node.patterns:
-            encoded = self._encode_pattern(pattern)
-            if encoded is None:
-                # A pattern constant is absent from the store: the
-                # evaluator returns an empty relation with the *input*
-                # schema, before seeding.
-                return EmptyAfterOp(
-                    input_op, input_op.schema, detail="constant not in store"
-                )
-            plain.append(encoded)
         op = self._compile_seeds(node.seeds, input_op)
-        if isinstance(op, EmptyAfterOp):
-            return op
+        lookup = self._network.lookup_term
+        estimated = [_estimated(pattern, lookup) for pattern in node.patterns]
+        source = {id(e): p for e, p in zip(estimated, node.patterns)}
+        ordered = [
+            source[id(encoded)]
+            for encoded in order_patterns(
+                estimated, self._model, _estimated_graph(graph, lookup),
+                set(op.schema),
+            )
+        ]
+        # The first step also checks the later steps' constants: one
+        # absent from the store empties the flush at run time.
+        guard = tuple(
+            slot
+            for pattern in ordered[1:]
+            for slot in (pattern.subject, pattern.predicate, pattern.object)
+            if not isinstance(slot, str)
+        )
         filters = list(node.filters)
-        ordered = order_patterns(plain, self._model, graph, set(op.schema))
         chain_first = node.fresh
-        for encoded in ordered:
-            step = PatternJoinOp(op, encoded, graph, chain_first=chain_first)
-            step.detail = self._render_encoded(encoded)
+        for pattern in ordered:
+            op = PatternJoinOp(op, pattern, graph, chain_first, guard)
             chain_first = False
-            op = step
+            guard = ()
             filters, op = self._attach_filters(filters, op)
         for expression in filters:  # pragma: no cover - defensive
             op = FilterApplyOp(op, expression, origin="pushed")
@@ -2004,8 +2165,6 @@ class Compiler:
         self, node: A.PathStep, graph: GraphContext, input_op: PhysicalOp
     ) -> PhysicalOp:
         op = self._compile_seeds(node.seeds, input_op)
-        if isinstance(op, EmptyAfterOp):
-            return op
         op = PathStepOp(op, node.pattern, graph, chain_first=node.fresh)
         filters = list(node.filters)
         filters, op = self._attach_filters(filters, op)
@@ -2019,17 +2178,7 @@ class Compiler:
         op: PhysicalOp,
     ) -> PhysicalOp:
         for var, term in seeds:
-            term_id = self._network.lookup_term(term)
-            if term_id is None:
-                # The evaluator counts the seed attempt, then yields an
-                # empty relation extended with the seeded column.
-                return EmptyAfterOp(
-                    op,
-                    op.schema + (var,),
-                    counters=("filter.sargable_seed",),
-                    detail=f"?{var} = {term.n3()} (absent)",
-                )
-            op = SeedColumnOp(op, var, term_id, f"?{var} = {term.n3()}")
+            op = SeedColumnOp(op, var, term, f"?{var} = {term.n3()}")
         return op
 
     def _attach_filters(
@@ -2099,40 +2248,8 @@ class Compiler:
     ) -> PhysicalOp:
         if isinstance(node.graph, str):
             return JoinOp(left, self.compile(node.input, node.graph))
-        graph_id = self._network.lookup_term(node.graph)
-        if graph_id is None:
-            # GRAPH <iri> with an unknown IRI: empty, keeping the
-            # *left* schema (the evaluator never evaluates the inner
-            # group in this case).
-            return EmptyAfterOp(
-                left, left.schema, detail=f"graph {node.graph.n3()} absent"
-            )
-        return JoinOp(left, self.compile(node.input, graph_id))
-
-    def _encode_pattern(
-        self, pattern: TriplePattern
-    ) -> Optional[EncodedPattern]:
-        slots = []
-        for part in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(part, str):
-                slots.append(part)
-            else:
-                encoded = self._network.lookup_term(part)
-                if encoded is None:
-                    return None
-                slots.append(encoded)
-        return EncodedPattern(*slots)
-
-    def _decode(self, term_id: int) -> str:
-        try:
-            return self._network.values.term(term_id).n3()
-        except Exception:
-            return f"#{term_id}"
-
-    def _render_encoded(self, pattern: EncodedPattern) -> str:
-        return " ".join(
-            f"?{slot}" if isinstance(slot, str) else self._decode(slot)
-            for slot in (pattern.subject, pattern.predicate, pattern.object)
+        return JoinOp(
+            left, self.compile(node.input, node.graph), graph=node.graph
         )
 
 
@@ -2190,8 +2307,12 @@ class _ExistsBinder:
 
 
 def compile_plan(
-    plan: A.Plan, network, model, union_default_graph: bool = True
+    plan: A.Plan,
+    network,
+    model,
+    union_default_graph: bool = True,
+    filter_pushdown: bool = True,
 ) -> PhysicalOp:
     """Compile an optimized logical plan to a physical operator tree."""
-    compiler = Compiler(network, model, union_default_graph)
+    compiler = Compiler(network, model, union_default_graph, filter_pushdown)
     return compiler.compile(plan, compiler.default_graph)

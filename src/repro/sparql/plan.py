@@ -23,7 +23,9 @@ Slot = Union[int, str]
 
 #: Graph context for a BGP: ``None`` = union default graph (match any
 #: graph), an int = that graph only, a str = GRAPH variable (named
-#: graphs only, binding the variable).
+#: graphs only, binding the variable).  A compiled plan may also carry
+#: the term (or lifted slot) of ``GRAPH <iri>``, resolved to its ID
+#: when the plan runs.
 GraphContext = Union[None, int, str]
 
 #: Number of input rows beyond which a hash join is considered.
@@ -153,17 +155,19 @@ def decide_join(input_rows: int, pattern_estimate: int) -> JoinDecision:
     return JoinDecision(method, input_rows, pattern_estimate)
 
 
-def describe_bound(
-    pattern: EncodedPattern, bound: Set[str], decode
-) -> str:
-    """Human-readable bound-position list for EXPLAIN, Table 5 style."""
+def describe_bound(pattern, bound: Set[str], decode) -> str:
+    """Human-readable bound-position list for EXPLAIN, Table 5 style.
+
+    ``pattern`` holds variables (strings) and constants — term IDs or
+    terms, rendered by ``decode``.
+    """
     parts = []
     for letter, slot in (
         ("S", pattern.subject),
         ("P", pattern.predicate),
         ("C", pattern.object),
     ):
-        if isinstance(slot, int):
+        if not isinstance(slot, str):
             parts.append(f"{letter}={decode(slot)}")
         elif slot in bound:
             parts.append(f"{letter}=?{slot}")

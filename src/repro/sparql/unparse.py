@@ -31,6 +31,7 @@ from repro.sparql.ast import (
     NotExpr,
     OptionalPattern,
     OrExpr,
+    Param,
     Path,
     PathAlternative,
     PathInverse,
@@ -175,7 +176,7 @@ def _term_or_var(part) -> str:
         if part.startswith("_:"):
             return part
         return f"?{part}"
-    assert isinstance(part, Term)
+    assert isinstance(part, (Term, Param))
     return part.n3()
 
 

@@ -37,6 +37,9 @@ class UpdateExecutor:
     which the paper notes dominate update cost).  It is checked before
     each operation starts applying changes, never mid-apply, so an
     aborted update leaves the store untouched by the aborted operation.
+
+    ``filter_pushdown`` selects the WHERE group's rewrite rules, as the
+    engine's setting does for queries.
     """
 
     def __init__(
@@ -45,10 +48,12 @@ class UpdateExecutor:
         model_name: str,
         union_default_graph: bool = True,
         deadline: Optional[Deadline] = None,
+        filter_pushdown: bool = True,
     ):
         self._network = network
         self._model_name = model_name
         self._union_default = union_default_graph
+        self._filter_pushdown = filter_pushdown
         self._deadline = deadline
 
     def execute(self, request: UpdateRequest) -> Dict[str, int]:
@@ -119,11 +124,10 @@ class UpdateExecutor:
     def _where_rows(self, operation: ModifyUpdate):
         """The WHERE solutions as ``(rows, schema)``.
 
-        Compiled per operation against the live network, so operation
-        *n* sees operations 1..n-1 of the same request; never cached,
-        because every write changes ``data_version``.  The rows are
-        drained completely before the caller's first write: a lazy scan
-        over pages that are being mutated would be a bug.
+        Compiled and run per operation against the live network, so
+        operation *n* sees operations 1..n-1 of the same request.  The
+        rows are drained completely before the caller's first write: a
+        lazy scan over pages that are being mutated would be a bug.
         """
         model = self._network.model(self._model_name)
         templates = operation.delete_templates + operation.insert_templates
@@ -136,12 +140,20 @@ class UpdateExecutor:
             )
             if isinstance(part, str)
         )
-        plan = optimize(A.lower_group(operation.where), protected=templated)
-        root = compile_plan(plan, self._network, model, self._union_default)
+        plan = optimize(
+            A.lower_group(operation.where),
+            filter_pushdown=self._filter_pushdown,
+            protected=templated,
+        )
+        root = compile_plan(
+            plan, self._network, model, self._union_default,
+            self._filter_pushdown,
+        )
         ctx = ExecContext(
             self._network,
             model,
             union_default_graph=self._union_default,
+            filter_pushdown=self._filter_pushdown,
             deadline=self._deadline,
             streaming=False,
         )

@@ -85,10 +85,9 @@ class SemanticNetwork:
     def data_version(self) -> int:
         """The committed version — always that of the published snapshot.
 
-        Compiled query plans bake in term IDs and index choices, so the
-        plan cache uses this to invalidate them.  Term interning alone
-        does not bump it — adding an unused dictionary entry cannot
-        change any query result.
+        Term interning alone does not bump it — adding an unused
+        dictionary entry cannot change any query result.  (Compiled
+        query plans hold no data, so the plan cache does not key on it.)
         """
         return self._published.data_version
 

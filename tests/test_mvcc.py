@@ -16,6 +16,7 @@ The contract under test (see ``src/repro/store/snapshot.py``):
 
 import gc
 import os
+import sys
 import threading
 import time
 
@@ -144,6 +145,26 @@ class TestSnapshotBasics:
         gc.collect()
         assert network.live_snapshot_count() == 1
 
+    def test_finished_queries_release_their_snapshot_without_gc(self):
+        """An execution context forms no reference cycle, so the
+        snapshot a finished query pinned (with every page written
+        since) is freed at once, not at the next collection."""
+        network = self.make(3)
+        engine = SparqlEngine(network, default_model="m")
+        query = (
+            f"SELECT ?s WHERE {{ ?s <{EX}p> ?o "
+            f"FILTER EXISTS {{ ?o ?q ?s }} FILTER (?s != ?o) }}"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(5):
+                engine.select(query)
+                network.insert("m", Quad(ex(f"r{i}"), ex("p"), ex("o")))
+            assert network.live_snapshot_count() == 1
+        finally:
+            gc.enable()
+
 
 class TestLockFreeReads:
     def test_query_completes_while_write_lock_held(self, social_engine):
@@ -270,9 +291,10 @@ class TestNoTornReads:
 
 class TestPlanCacheUnderWrites:
     def test_cached_plan_never_serves_stale_rows(self):
-        """Regression for the invalidation race: the cached plan's
-        version now comes from the pinned snapshot, so a hit can never
-        pair an old plan with newer data (or vice versa)."""
+        """A cached plan holds no data: every hit runs it against the
+        query's own pinned snapshot, so writes never make it serve
+        stale rows — and never invalidate it either.  It is recompiled
+        only when the quad count crosses a power of two."""
         network = SemanticNetwork()
         network.create_model("m")
         engine = SparqlEngine(network, default_model="m")
@@ -281,6 +303,9 @@ class TestPlanCacheUnderWrites:
             network.insert("m", Quad(ex(f"s{i}"), ex("p"), ex("o")))
             rows = engine.select(query).rows
             assert len(rows) == i + 1, "cache served a stale plan/result"
+        stats = engine.plan_cache.stats()
+        # Compiles at 1, 2, 4, 8 and 16 quads; every other read hits.
+        assert stats["misses"] == 5 and stats["hits"] == 15
 
     def test_cache_consistent_under_write_hammer(self):
         network = SemanticNetwork()
@@ -319,6 +344,85 @@ class TestPlanCacheUnderWrites:
         # The cache still answers correctly after the storm.
         final = int(engine.select(query).rows[0][0].lexical)
         assert final == len(network.model("m"))
+
+    def test_one_shared_plan_runs_concurrently_with_different_bindings(
+        self,
+    ):
+        """Three readers run one query shape with different constants —
+        all on the single cached plan — while a writer inserts; each
+        answer equals the expectation for the snapshot it ran against."""
+        objects, initial, writes = 6, 600, 300  # stays inside [512, 1024)
+        network = SemanticNetwork()
+        network.create_model("m")
+        network.bulk_load(
+            "m",
+            [
+                Quad(ex(f"s{i}"), ex("p"), ex(f"o{i % objects}"))
+                for i in range(initial)
+            ],
+        )
+        engine = SparqlEngine(network, default_model="m")
+        texts = [
+            f"SELECT ?s WHERE {{ ?s <{EX}p> <{EX}o{j}> }}"
+            for j in range(objects)
+        ]
+        asts = [engine._parse_query(text) for text in texts]
+        engine.select(texts[0])  # the one compile
+        start = network.data_version
+
+        def expected(j, version):
+            return {
+                f"{EX}s{i}" for i in range(initial) if i % objects == j
+            } | {
+                f"{EX}n{k}" for k in range(version - start) if k % objects == j
+            }
+
+        errors = []
+        reads = [0, 0, 0]
+        writing = threading.Event()
+        writing.set()
+
+        def reader(r):
+            try:
+                while writing.is_set() or reads[r] < 20:
+                    for j in (r, r + 3):
+                        snapshot = network.snapshot()
+                        result = engine.run_ast(asts[j], snapshot=snapshot)
+                        got = {row[0].value for row in result.rows}
+                        if got != expected(j, snapshot.data_version):
+                            errors.append((j, snapshot.data_version))
+                        reads[r] += 1
+            except Exception as exc:  # noqa: BLE001
+                errors.append(repr(exc))
+
+        def writer():
+            try:
+                for k in range(writes):
+                    network.insert(
+                        "m", Quad(ex(f"n{k}"), ex("p"), ex(f"o{k % objects}"))
+                    )
+                    time.sleep(0.001)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(repr(exc))
+            finally:
+                writing.clear()
+
+        threads = [threading.Thread(target=reader, args=(r,)) for r in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside plan runs
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), "thread failed to finish (deadlock?)"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = engine.plan_cache.stats()
+        assert stats["size"] == 1 and stats["misses"] == 1
+        assert stats["hits"] == sum(reads)
 
 
 POOL = [

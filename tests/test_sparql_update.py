@@ -146,3 +146,41 @@ class TestGraphVariableTemplates:
         rebuilt = store.to_property_graph()
         assert rebuilt.edge(3).get_property("sinceYear") == 2007
         assert rebuilt.edge(3).get_property("since") is None
+
+
+class TestWhereFollowsFilterPushdown:
+    QUADS = [
+        Quad(ex(s), ex("p"), ex(o))
+        for s in ("a", "b", "c")
+        for o in ("x", "y")
+    ]
+    TEXT = "DELETE { ?s ex:p ?o } WHERE { ?s ex:p ?o FILTER (?s = ex:a) }"
+
+    @pytest.mark.parametrize("pushdown", [True, False])
+    def test_where_plan_and_answer_follow_the_engine_setting(self, pushdown):
+        from repro.obs import metrics
+        from repro.sparql.ast import SelectQuery
+        from repro.testing.reference import Evaluator
+
+        net = SemanticNetwork()
+        net.create_model("m")
+        net.bulk_load("m", self.QUADS)
+        engine = SparqlEngine(
+            net, prefixes={"ex": EX}, default_model="m",
+            filter_pushdown=pushdown,
+        )
+        where = engine._parser.parse_update(self.TEXT).operations[0].where
+        oracle = Evaluator(net, net.model("m"), filter_pushdown=pushdown)
+        matched = {
+            Quad(s, ex("p"), o)
+            for s, o in oracle.select(SelectQuery((), where)).rows
+        }
+        with metrics.enabled(fresh=True) as registry:
+            counts = engine.update(self.TEXT)
+            seeded = registry.counter("filter.sargable_seed")
+            at_group_end = registry.counter("filter.group_end")
+        # Pushed, the filter becomes a seeded column; not pushed, it
+        # runs once at the group's end.
+        assert (seeded, at_group_end) == ((1, 0) if pushdown else (0, 1))
+        assert counts["deleted"] == len(matched) == 2
+        assert set(net.quads("m")) == set(self.QUADS) - matched
