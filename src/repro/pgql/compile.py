@@ -37,6 +37,7 @@ from repro.core.vocabulary import PgVocabulary
 from repro.pgql import ast as P
 from repro.pgql.errors import PgqlSyntaxError
 from repro.sparql import ast as S
+from repro.sparql.algebra import HOP
 
 #: The property key a node label desugars to: ``(a:Person)`` matches
 #: nodes whose ``label`` property is ``'Person'``.
@@ -60,8 +61,8 @@ class _State:
         #: (properties() expansions); never reusable for another binding.
         self.claimed: Set[str] = set()
 
-    def fresh(self, prefix: str) -> str:
-        name = f"_{prefix}{self.counter}"
+    def fresh(self, prefix: str, namespace: str = "_") -> str:
+        name = f"{namespace}{prefix}{self.counter}"
         self.counter += 1
         return name
 
@@ -111,7 +112,8 @@ class PgqlCompiler:
     def _compile_path(self, state: _State, path: P.PathPattern) -> None:
         vocab = self.vocabulary
         node_vars: List[str] = []
-        for node in path.nodes:
+        last = len(path.nodes) - 1
+        for position, node in enumerate(path.nodes):
             if node.var is not None:
                 var = node.var
                 if var in state.edge_vars:
@@ -120,7 +122,9 @@ class PgqlCompiler:
                     )
                 state.node_vars.add(var)
             else:
-                var = state.fresh("n")
+                # An anonymous vertex between two edges is a hop: the
+                # optimizer merges it away once the path has passed it.
+                var = state.fresh("n", HOP if 0 < position < last else "_")
                 state.node_vars.add(var)
             pairs = list(node.properties)
             if node.label is not None:

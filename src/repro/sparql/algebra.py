@@ -34,7 +34,8 @@ compiler need them:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import count
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from typing import Union as _TypingUnion
 
 from repro.rdf.terms import Term
@@ -44,12 +45,20 @@ from repro.sparql.ast import (
     FilterPattern,
     GraphGraphPattern,
     GroupPattern,
+    InExpr,
     MinusPattern,
     OptionalPattern,
     OrderCondition,
+    PathAlternative,
+    PathInverse,
+    PathLink,
+    PathNegated,
+    PathRepeat,
+    PathSequence,
     Projection,
     SelectQuery,
     SubSelectPattern,
+    TermExpr,
     TermOrVar,
     TriplePattern,
     UnionPattern,
@@ -61,6 +70,17 @@ from repro.sparql.ast import (
 )
 from repro.sparql.errors import EvaluationError
 from repro.sparql.unparse import render_expr, render_triple
+
+#: Prefix of the hop variables: the hops of a lowered path and PGQL's
+#: anonymous intermediate vertices.  ``#`` opens a comment in SPARQL and
+#: PGQL reserves ``_``, so no query text names one; the ``_:`` start
+#: keeps them out of ``SELECT *`` like blank nodes.
+HOP = "_:#"
+
+
+def is_hop(variable: str) -> bool:
+    return variable.startswith(HOP)
+
 
 # ----------------------------------------------------------------------
 # Plan nodes
@@ -74,7 +94,8 @@ class Unit:
 
 @dataclass(frozen=True)
 class BGP:
-    """One basic-graph-pattern flush: plain (non-path) triple patterns.
+    """One basic-graph-pattern flush: plain triple patterns, or the one
+    closure step ``s p* o`` (``p+``, ``p?``) of a lowered path.
 
     ``fresh`` marks the node that *starts* a flush in the reference
     evaluator (a fresh ``_evaluate_bgp`` call): its first physical step
@@ -82,7 +103,12 @@ class BGP:
     later steps of the same flush are skipped once the relation runs
     dry.  ``seeds`` are sargable ``?v = <constant>`` filters the
     optimizer converted into bound columns; ``filters`` are pushed-down
-    FILTERs applied as early as their variables are certain.
+    FILTERs applied as early as their variables are certain.  ``drop``
+    are the hop variables no later node reads (set by the optimizer's
+    ``merge_hops``): each goes right after the last step reading it.
+    ``ends``, on a path's last BGP, are the path's endpoints it binds,
+    in subject-object order: its columns end with them, as the
+    reference walker's do, whichever end the plan walked from.
     """
 
     input: "Plan"
@@ -90,17 +116,8 @@ class BGP:
     seeds: Tuple[Tuple[str, Term], ...] = ()
     filters: Tuple[Expression, ...] = ()
     fresh: bool = True
-
-
-@dataclass(frozen=True)
-class PathStep:
-    """One property-path pattern (reachability / counting walk)."""
-
-    input: "Plan"
-    pattern: TriplePattern
-    seeds: Tuple[Tuple[str, Term], ...] = ()
-    filters: Tuple[Expression, ...] = ()
-    fresh: bool = False
+    drop: FrozenSet[str] = frozenset()
+    ends: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -210,8 +227,8 @@ class Distinct:
 
 @dataclass(frozen=True)
 class Slice:
-    """LIMIT/OFFSET.  Counts *rows* (not multiplicities), matching the
-    reference evaluator."""
+    """LIMIT/OFFSET.  Counts solutions: a row of multiplicity ``m`` is
+    ``m`` of them."""
 
     input: "Plan"
     offset: int = 0
@@ -219,13 +236,13 @@ class Slice:
 
 
 Plan = _TypingUnion[
-    Unit, BGP, PathStep, Join, LeftJoin, Minus, Union, Graph, Filter,
+    Unit, BGP, Join, LeftJoin, Minus, Union, Graph, Filter,
     Extend, Table, Aggregate, OrderBy, Project, Distinct, Slice,
 ]
 
 #: Nodes with a single ``input`` child (the group "spine").
 _SPINE_ATTR = {
-    BGP: "input", PathStep: "input", Graph: "input", Filter: "input",
+    BGP: "input", Graph: "input", Filter: "input",
     Extend: "input", Aggregate: "input", OrderBy: "input",
     Project: "input", Distinct: "input", Slice: "input",
     Join: "left", LeftJoin: "left", Minus: "left",
@@ -275,14 +292,7 @@ def schema_vars(plan: Plan, graph_var: Optional[str] = None) -> FrozenSet[str]:
         out.update(v for v, _ in plan.seeds)
         for pattern in plan.patterns:
             out |= _pattern_vars_with_graph(pattern, graph_var)
-        return frozenset(out)
-    if isinstance(plan, PathStep):
-        out = set(schema_vars(plan.input, graph_var))
-        out.update(v for v, _ in plan.seeds)
-        for part in (plan.pattern.subject, plan.pattern.object):
-            if isinstance(part, str):
-                out.add(part)
-        return frozenset(out)
+        return frozenset(out - plan.drop)
     if isinstance(plan, (Join, LeftJoin)):
         return schema_vars(plan.left, graph_var) | schema_vars(
             plan.right, graph_var
@@ -340,11 +350,6 @@ def certain_vars(plan: Plan, graph_var: Optional[str] = None) -> FrozenSet[str]:
         # up constants.  The graph variable (when it binds) comes from
         # named graphs only, so it is never zero/None either.
         return schema_vars(plan, graph_var)
-    if isinstance(plan, PathStep):
-        return certain_vars(plan.input, graph_var) | (
-            schema_vars(plan, graph_var)
-            - schema_vars(plan.input, graph_var)
-        )
     if isinstance(plan, Join):
         # The compatible-mapping merge fills left Nones from the right,
         # so a variable certain on either side is certain in the join.
@@ -399,32 +404,48 @@ def certain_vars(plan: Plan, graph_var: Optional[str] = None) -> FrozenSet[str]:
 # ----------------------------------------------------------------------
 
 
-def lower_group(group: GroupPattern, start: Plan = Unit()) -> Plan:
+def lower_group(
+    group: GroupPattern,
+    start: Plan = Unit(),
+    hops: Optional[Iterator[int]] = None,
+    graph_var: bool = False,
+) -> Plan:
     """Lower one group to a plan chain, mirroring the reference fold.
 
     Consecutive triple patterns accumulate into one flush (a ``BGP``
-    node followed by ``PathStep`` nodes); any other element — including
-    a FILTER — breaks the accumulation, exactly like the evaluator's
-    ``flush_bgp``.  Group FILTERs wrap the finished chain in syntax
-    order; the optimizer later sinks the pushable ones.  The fold
-    starts from ``start`` (an EXISTS group starts from its seed row).
+    node followed by the lowered property paths, :func:`lower_path`);
+    any other element — including a FILTER — breaks the accumulation,
+    exactly like the evaluator's ``flush_bgp``.  Group FILTERs wrap the
+    finished chain in syntax order; the optimizer later sinks the
+    pushable ones.  The fold starts from ``start`` (an EXISTS group
+    starts from its seed row).  ``hops`` numbers the query's hop
+    variables; ``graph_var`` marks a group under ``GRAPH ?var``, where
+    paths are not supported.
     """
     plan: Plan = start
     bgp: List[TriplePattern] = []
+    hops = count() if hops is None else hops
+
+    def sub(inner: GroupPattern, inner_graph_var: bool = graph_var) -> Plan:
+        return lower_group(inner, Unit(), hops, inner_graph_var)
 
     def flush() -> Plan:
         nonlocal plan, bgp
         if not bgp:
             return plan
         plain = tuple(p for p in bgp if not p.predicate_is_path())
-        paths = [p for p in bgp if p.predicate_is_path()]
         fresh = True
         if plain:
             plan = BGP(plan, plain, fresh=True)
             fresh = False
-        for pattern in paths:
-            plan = PathStep(plan, pattern, fresh=fresh)
-            fresh = False
+        for pattern in bgp:
+            if pattern.predicate_is_path():
+                if graph_var:
+                    raise EvaluationError(
+                        "property paths inside GRAPH ?var are not supported"
+                    )
+                plan = lower_path(plan, pattern, hops, fresh)
+                fresh = False
         bgp = []
         return plan
 
@@ -436,24 +457,22 @@ def lower_group(group: GroupPattern, start: Plan = Unit()) -> Plan:
         if isinstance(element, FilterPattern):
             pass  # applied below, after the whole chain
         elif isinstance(element, OptionalPattern):
-            plan = LeftJoin(plan, lower_group(element.group))
+            plan = LeftJoin(plan, sub(element.group))
         elif isinstance(element, UnionPattern):
-            plan = Join(
-                plan,
-                Union(tuple(lower_group(b) for b in element.branches)),
-            )
+            plan = Join(plan, Union(tuple(map(sub, element.branches))))
         elif isinstance(element, MinusPattern):
-            plan = Minus(plan, lower_group(element.group))
+            plan = Minus(plan, sub(element.group))
         elif isinstance(element, GraphGraphPattern):
-            plan = Join(plan, Graph(element.graph, lower_group(element.group)))
+            inner = sub(element.group, isinstance(element.graph, str))
+            plan = Join(plan, Graph(element.graph, inner))
         elif isinstance(element, BindPattern):
             plan = Extend(plan, element.var, element.expression, kind="bind")
         elif isinstance(element, ValuesPattern):
             plan = Join(plan, Table(element.variables, element.rows))
         elif isinstance(element, SubSelectPattern):
-            plan = Join(plan, lower_select(element.query))
+            plan = Join(plan, lower_select(element.query, hops))
         elif isinstance(element, GroupPattern):
-            plan = Join(plan, lower_group(element))
+            plan = Join(plan, sub(element))
         else:
             raise EvaluationError(f"unsupported pattern {element!r}")
     flush()
@@ -463,9 +482,91 @@ def lower_group(group: GroupPattern, start: Plan = Unit()) -> Plan:
     return plan
 
 
-def lower_select(query: SelectQuery) -> Plan:
+def lower_path(
+    plan: Plan, pattern: TriplePattern, hops: Iterator[int], fresh: bool
+) -> Plan:
+    """A property-path pattern as pattern steps (SPARQL 1.1 §18.2.2.4):
+    ``^p`` swaps positions, ``p|q`` is a union of the branches and a
+    fixed-length ``p/q`` chains steps over hidden hop variables; a
+    negated set ``!(p|q)`` is a step over a hidden predicate filtered by
+    ``NOT IN``.  Only ``p*``, ``p+`` and ``p?`` stay whole, as closure
+    steps.  Union branches start from ``plan`` itself when it is a leaf
+    (a seed row then reaches every branch) or when one has a closure
+    (which walks from a bound end, zero-length paths included, like the
+    reference walker); otherwise the union is joined onto ``plan``."""
+    ends = (pattern.subject, pattern.object)
+    branches = _path_steps(*ends[:1], pattern.predicate, *ends[1:], hops)
+    if len(branches) == 1:
+        return _chain(plan, branches[0], fresh, hops, ends)
+    if isinstance(plan, (Unit, Table)) or any(
+        isinstance(step.predicate, PathRepeat) for b in branches for step in b
+    ):
+        return Union(tuple(_chain(plan, b, fresh, hops, ends) for b in branches))
+    return Join(
+        plan, Union(tuple(_chain(Unit(), b, True, hops, ends) for b in branches))
+    )
+
+
+def _path_steps(s, path, o, hops: Iterator[int]) -> List[List[TriplePattern]]:
+    """``s path o`` as alternative branches of steps."""
+    if isinstance(path, PathLink):
+        return [[TriplePattern(s, path.iri, o)]]
+    if isinstance(path, PathInverse):
+        return _path_steps(o, path.inner, s, hops)
+    if isinstance(path, PathAlternative):
+        return [b for option in path.options for b in _path_steps(s, option, o, hops)]
+    if isinstance(path, PathSequence):
+        ends = [s, *(f"{HOP}h{next(hops)}" for _ in path.steps[1:]), o]
+        branches: List[List[TriplePattern]] = [[]]
+        for i, step in enumerate(path.steps):
+            tails = _path_steps(ends[i], step, ends[i + 1], hops)
+            branches = [b + tail for b in branches for tail in tails]
+        return branches
+    return [[TriplePattern(s, path, o)]]
+
+
+def _chain(
+    plan: Plan,
+    steps: List[TriplePattern],
+    fresh: bool,
+    hops: Iterator[int],
+    ends: Tuple[TermOrVar, TermOrVar],
+) -> Plan:
+    """One branch over ``plan``, walked from the end ``plan`` binds: runs
+    of plain steps are BGPs, each closure step a BGP of its own."""
+    bound = schema_vars(plan)
+
+    def free(part) -> bool:
+        return isinstance(part, str) and part not in bound
+
+    if free(steps[0].subject) and not free(steps[-1].object):
+        steps = steps[::-1]
+    for run in _runs(steps):
+        filters = []
+        for i, step in enumerate(run):
+            if isinstance(step.predicate, PathNegated):
+                hop = f"{HOP}p{next(hops)}"
+                iris = tuple(map(TermExpr, step.predicate.iris))
+                filters.append(InExpr(VarExpr(hop), iris, negated=True))
+                run[i] = replace(step, predicate=hop)
+        plan = BGP(plan, tuple(run), filters=tuple(filters), fresh=fresh)
+        fresh = False
+    return replace(plan, ends=tuple(dict.fromkeys(filter(free, ends))))
+
+
+def _runs(steps: List[TriplePattern]) -> List[List[TriplePattern]]:
+    runs: List[List[TriplePattern]] = []
+    for step in steps:
+        closure = isinstance(step.predicate, PathRepeat)
+        if closure or not runs or isinstance(runs[-1][0].predicate, PathRepeat):
+            runs.append([])
+        runs[-1].append(step)
+    return runs
+
+
+def lower_select(query: SelectQuery, hops: Optional[Iterator[int]] = None) -> Plan:
     """Lower a SELECT (or subquery) to its full wrapper chain."""
-    plan = lower_group(query.where)
+    plan = lower_group(query.where, hops=hops)
     projections: Optional[Tuple[Projection, ...]] = (
         None if query.is_star() else query.projections
     )
@@ -516,16 +617,8 @@ def _label(plan: Plan) -> str:
     if isinstance(plan, BGP):
         parts = [render_triple(p) for p in plan.patterns]
         label = f"BGP({'; '.join(parts)})"
-        if plan.seeds:
-            seeds = ", ".join(f"?{v}={t.n3()}" for v, t in plan.seeds)
-            label += f" seeds[{seeds}]"
-        if plan.filters:
-            label += " filters[%s]" % ", ".join(
-                render_expr(f) for f in plan.filters
-            )
-        return label
-    if isinstance(plan, PathStep):
-        label = f"Path({render_triple(plan.pattern)})"
+        if plan.drop:
+            label += " merge[%s]" % " ".join(sorted(plan.drop))
         if plan.seeds:
             seeds = ", ".join(f"?{v}={t.n3()}" for v, t in plan.seeds)
             label += f" seeds[{seeds}]"

@@ -26,12 +26,23 @@ Rules (applied in order by :func:`optimize`):
 ``place_slice``
     Move LIMIT/OFFSET below row-preserving operators and fuse it into
     ORDER BY as a bounded top-k selection.
+
+``merge_hops``
+    Mark each hop variable (:data:`repro.sparql.algebra.HOP`: a lowered
+    path's hops, PGQL's anonymous intermediate vertices) for dropping at
+    the BGP or closure step that holds its last mention; the compiler
+    drops it right after the last step reading it and merges the rows
+    that become equal, summing their multiplicities — exact under bag
+    semantics, and what keeps a k-hop count at one row per reached node
+    instead of one per path.  Variables the query text names are never
+    touched.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
-from typing import Callable, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sparql.algebra import (
     BGP,
@@ -43,12 +54,13 @@ from repro.sparql.algebra import (
     LeftJoin,
     Minus,
     OrderBy,
-    PathStep,
     Plan,
     Project,
     Slice,
     Union,
     certain_vars,
+    children,
+    is_hop,
     schema_vars,
     spine_child,
     with_spine_child,
@@ -60,6 +72,7 @@ from repro.sparql.ast import (
     VarExpr,
     contains_aggregate,
     expression_variables,
+    pattern_variables,
 )
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expr import (
@@ -131,7 +144,7 @@ def fold_constants(plan: Plan) -> Plan:
 #: Node kinds a sinking filter may pass through on the group spine.
 #: Everything else (Unit, Table, Union, Graph, subquery wrappers)
 #: becomes the application point.
-_SINKABLE = (BGP, PathStep, Join, LeftJoin, Minus, Filter, Extend)
+_SINKABLE = (BGP, Join, LeftJoin, Minus, Filter, Extend)
 
 
 def push_filters(plan: Plan) -> Plan:
@@ -149,28 +162,29 @@ def _push(plan: Plan, graph_var: Optional[str]) -> Plan:
     return _map_children(plan, lambda child: _push(child, graph_var))
 
 
-def _first_flush(plan: Plan) -> Optional[Plan]:
-    """The deepest flush-starting node on the spine: the group's first
-    executed BGP/path flush (where the evaluator seeds sargable
-    filters)."""
-    found: Optional[Plan] = None
+def _first_flushes(plan: Plan) -> List[BGP]:
+    """The group's first executed flushes (where the evaluator seeds
+    sargable filters): the deepest flush-starting BGP on the spine, or
+    the first flush of every branch of the path union a group starts
+    with (:func:`repro.sparql.algebra.lower_path`)."""
+    found: List[BGP] = []
     node: Optional[Plan] = plan
     while node is not None:
         if isinstance(node, Graph):
             break  # a GRAPH subgroup is a different filter scope
-        if isinstance(node, (BGP, PathStep)) and node.fresh:
-            found = node
+        if isinstance(node, BGP) and node.fresh:
+            found = [node]
+        elif isinstance(node, Union):
+            found = [f for branch in node.branches for f in _first_flushes(branch)]
         node = spine_child(node)
     return found
 
 
-def _replace_on_spine(plan: Plan, old: Plan, new: Plan) -> Plan:
-    if plan is old:
-        return new
-    child = spine_child(plan)
-    if child is None:
-        raise AssertionError("spine node not found")
-    return with_spine_child(plan, _replace_on_spine(child, old, new))
+def _replace(plan: Plan, new: Dict[int, Plan]) -> Plan:
+    """``plan`` with each node whose ``id`` is a key of ``new`` replaced."""
+    if id(plan) in new:
+        return new[id(plan)]
+    return _map_children(plan, lambda child: _replace(child, new))
 
 
 def _place(
@@ -184,15 +198,16 @@ def _place(
     match = constant_equality(expression)
     if match is not None:
         variable, term = match
-        flush = _first_flush(node)
-        if (
-            flush is not None
-            and variable
-            not in schema_vars(spine_child(flush), graph_var)
-            and variable not in {v for v, _ in flush.seeds}
+        flushes = {id(flush): flush for flush in _first_flushes(node)}
+        if flushes and not any(
+            variable in schema_vars(spine_child(flush), graph_var)
+            or variable in {v for v, _ in flush.seeds}
+            for flush in flushes.values()
         ):
-            seeded = replace(flush, seeds=flush.seeds + ((variable, term),))
-            return _replace_on_spine(node, flush, seeded)
+            return _replace(node, {
+                key: replace(flush, seeds=flush.seeds + ((variable, term),))
+                for key, flush in flushes.items()
+            })
     if variables <= certain_vars(node, graph_var):
         return _sink(expression, variables, node, graph_var)
     return Filter(node, expression, origin="group_end")
@@ -212,7 +227,7 @@ def _sink(
             return with_spine_child(
                 node, _sink(expression, variables, child, graph_var)
             )
-        if isinstance(node, (BGP, PathStep)):
+        if isinstance(node, BGP):
             # Mid-flush placement: the physical compiler applies the
             # filter right after the earliest step binding its
             # variables, like the evaluator's per-step eligibility
@@ -249,13 +264,6 @@ def _collect_uses(plan: Plan, uses: Set[str], stars: List[bool]) -> None:
         uses.update(v for v, _ in plan.seeds)
         for expr in plan.filters:
             uses |= _expression_uses(expr)
-    elif isinstance(plan, PathStep):
-        for part in (plan.pattern.subject, plan.pattern.object):
-            if isinstance(part, str):
-                uses.add(part)
-        uses.update(v for v, _ in plan.seeds)
-        for expr in plan.filters:
-            uses |= _expression_uses(expr)
     elif isinstance(plan, Filter):
         uses |= _expression_uses(plan.expression)
     elif isinstance(plan, Extend):
@@ -289,9 +297,8 @@ def _collect_uses(plan: Plan, uses: Set[str], stars: List[bool]) -> None:
     elif isinstance(plan, (Join, LeftJoin, Minus)):
         # Shared variables are join keys on both sides.
         uses |= schema_vars(plan.left) & schema_vars(plan.right)
-    from repro.sparql.algebra import children as _children
 
-    for child in _children(plan):
+    for child in children(plan):
         _collect_uses(child, uses, stars)
 
 
@@ -314,9 +321,8 @@ def prune_extends(plan: Plan, protected: FrozenSet[str] = frozenset()) -> Plan:
 def _count_bindings(plan: Plan, counts: dict) -> None:
     if isinstance(plan, Extend):
         counts[plan.var] = counts.get(plan.var, 0) + 1
-    from repro.sparql.algebra import children as _children
 
-    for child in _children(plan):
+    for child in children(plan):
         _count_bindings(child, counts)
 
 
@@ -334,9 +340,8 @@ def _find_dead_extends(plan: Plan, uses: Set[str], counts: dict) -> Set[int]:
                 and node.var not in schema_vars(spine_child(node))
             ):
                 dead.add(id(node))
-        from repro.sparql.algebra import children as _children
 
-        for child in _children(node):
+        for child in children(node):
             walk(child)
 
     walk(plan)
@@ -372,6 +377,38 @@ def place_slice(plan: Plan) -> Plan:
 
 
 # ----------------------------------------------------------------------
+# Hop merging
+# ----------------------------------------------------------------------
+
+
+def _hops(plan: Plan) -> Set[str]:
+    if not isinstance(plan, BGP):
+        return set()
+    return {v for p in plan.patterns for v in pattern_variables(p) if is_hop(v)}
+
+
+def merge_hops(plan: Plan) -> Plan:
+    total: Counter = Counter()
+
+    def tally(node: Plan) -> None:
+        total.update(_hops(node))
+        for child in children(node):
+            tally(child)
+
+    def mark(node: Plan, above: Counter) -> Plan:
+        below: Counter = Counter()
+        node = _map_children(node, lambda child: mark(child, below))
+        own = _hops(node)
+        below.update(own)
+        above.update(below)
+        done = frozenset(v for v in own if below[v] == total[v])
+        return replace(node, drop=done) if done else node
+
+    tally(plan)
+    return mark(plan, Counter()) if total else plan
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -384,6 +421,7 @@ def default_rules(
         rules.append(push_filters)
     rules.append(lambda p: prune_extends(p, protected))
     rules.append(place_slice)
+    rules.append(merge_hops)
     return tuple(rules)
 
 

@@ -9,7 +9,12 @@ relation rows (:mod:`repro.testing.reference`), and ``mults is None``
 meaning "every multiplicity is 1".  ``PhysicalOp.run`` (``(row,
 multiplicity)`` pairs) is defined once, as the flatten of
 ``run_batches``.  The operator loops are ports of the reference
-evaluator's loops, so the pipeline is multiset-identical to it.
+evaluator's loops, so the pipeline is multiset-identical to it.  Property
+paths are the exception: they arrive lowered to pattern steps
+(:func:`repro.sparql.algebra.lower_path`) and closure steps
+(:class:`PathClosureOp`), while the evaluator walks them with its own
+row-at-a-time walker, so the differential tests compare two
+implementations.
 
 ``EXISTS`` is not a separate operator: :class:`Compiler` compiles each
 EXISTS group into a sub-plan whose leaf is a one-row VALUES table
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain as _chain, repeat as _repeat
 from operator import itemgetter
@@ -79,6 +85,7 @@ from repro.sparql.ast import (
     ExistsExpr,
     Expression,
     FunctionExpr,
+    GroupPattern,
     OrderCondition,
     Param,
     Projection,
@@ -101,7 +108,6 @@ from repro.sparql.expr import (
     row_getter,
 )
 from repro.sparql.optimize import optimize
-from repro.sparql.paths import PathEvaluator
 from repro.sparql.plan import (
     HASH_JOIN_MIN_ROWS,
     EncodedPattern,
@@ -118,8 +124,6 @@ Pair = Tuple[Row, int]
 #: every row has multiplicity 1 (the common case — scans and DISTINCT
 #: produce it), so downstream operators skip multiplicity bookkeeping.
 Batch = Tuple[List[Row], Optional[List[int]]]
-
-_GRAPH_VAR_PATHS = "property paths inside GRAPH ?var are not supported"
 
 #: A query constant in a plan: a term, or a lifted slot.
 _CONSTANT = (Term, Param)
@@ -144,8 +148,8 @@ class ExecContext:
     """Everything the operators need at run time.
 
     One context per query execution; the per-execution state (the
-    bound slot values, the path reach cache, the current EXISTS seed
-    rows) lives here so a cached plan can be executed many times, also
+    bound slot values, the current EXISTS and closure seed rows) lives
+    here so a cached plan can be executed many times, also
     concurrently with different bindings.
     """
 
@@ -183,16 +187,13 @@ class ExecContext:
         self.materialize = self.instrumented or not streaming
         #: Target rows per batch on the vectorized path.
         self.batch_size = max(1, batch_size)
-        # Neither evaluator may refer back to the context: a reference
-        # cycle would keep the pinned snapshot (and the pages writers
-        # have copied since) alive until the next garbage collection.
-        self.paths = PathEvaluator(
-            model, network.lookup_term, deadline=deadline
-        )
         #: Shared scalar/aggregate semantics; EXISTS runs the compiled
         #: sub-plan the expression carries (:class:`CompiledExists`).
+        #: The evaluator must not refer back to the context: a cycle
+        #: would keep the pinned snapshot alive until the next garbage
+        #: collection.
         self.expr = ExpressionEvaluator(exists=_ExistsHook(self))
-        #: EXISTS seed leaf -> the one-row table it emits on its next run.
+        #: Seed leaf (EXISTS, closure) -> the table it emits on its next run.
         self.seeds: Dict["ValuesOp", List[Row]] = {}
 
     def bind(self, constant):
@@ -320,6 +321,15 @@ def _flatten(batches: Iterable[Batch]) -> Iterator[Pair]:
             yield from zip(rows, mults)
 
 
+def _sliced(rows: List[Row], mults, sizes: Iterator[int]) -> Iterator[Batch]:
+    """``rows`` (with ``mults``) cut into batches of the ``sizes``."""
+    start = 0
+    while start < len(rows):
+        stop = start + next(sizes)
+        yield rows[start:stop], None if mults is None else mults[start:stop]
+        start = stop
+
+
 def _batch_rows(batches: Iterable[Batch]) -> int:
     return sum(len(rows) for rows, _ in batches)
 
@@ -431,7 +441,6 @@ def _observed(
     span_name: str,
     detail: str,
     fields=None,
-    batched: bool = True,
 ) -> Iterable[Batch]:
     """Report one operator execution when ``ctx.instrumented``.
 
@@ -439,16 +448,15 @@ def _observed(
     it performs are attributed to it) and an ``op.*`` span, like the
     reference evaluator; otherwise hands ``body`` back untouched.
     ``batches`` is the operator's drained input; ``fields()`` returns
-    extra ``(record fields, span attributes)``; ``batched`` adds the
-    batch-shape span attributes.
+    extra ``(record fields, span attributes)``; the span also reports
+    the batch shape.
     """
     if not ctx.instrumented:
         return body
     rows_in = _batch_rows(batches)
     record, attributes = fields() if fields is not None else ({}, {})
     attributes["rows_in"] = rows_in
-    if batched:
-        attributes["rows_per_batch"] = ctx.batch_size
+    attributes["rows_per_batch"] = ctx.batch_size
     ctx.collector.begin_operator(
         operator, detail=detail, rows_in=rows_in, **record
     )
@@ -456,8 +464,7 @@ def _observed(
         out = list(body)
         rows_out = _batch_rows(out)
         op_span.set("rows_out", rows_out)
-        if batched:
-            op_span.set("batches", len(out))
+        op_span.set("batches", len(out))
     ctx.collector.end_operator(rows_out=rows_out)
     return out
 
@@ -637,12 +644,7 @@ class ValuesOp(PhysicalOp):
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
         rows = ctx.seeds.get(self, self.rows)
-        sizes = ctx.chunk_sizes()
-        start = 0
-        while start < len(rows):
-            stop = start + next(sizes)
-            yield rows[start:stop], None
-            start = stop
+        return _sliced(rows, None, ctx.chunk_sizes())
 
 
 class SeedColumnOp(PhysicalOp):
@@ -1077,13 +1079,71 @@ class PatternJoinOp(PhysicalOp):
 
 
 # ----------------------------------------------------------------------
-# Path closure
+# Hop merging and path closure
 # ----------------------------------------------------------------------
 
 
-class PathStepOp(PhysicalOp):
-    """One property-path pattern: reachability walk with multiplicity
-    counting (port of the evaluator's ``_path_step``)."""
+class MergeOp(PhysicalOp):
+    """Drops hop columns no later step reads and merges the rows that
+    become equal, summing their multiplicities (exact under bag
+    semantics; :func:`repro.sparql.optimize.merge_hops`).  Merges each
+    decision unit of :func:`_input_chunks`: the whole input when
+    drained, each batch when streaming."""
+
+    name = "Merge"
+
+    def __init__(self, input: PhysicalOp, drop: List[str]):
+        self.input = input
+        keep = [i for i, v in enumerate(input.schema) if v not in drop]
+        self.schema = tuple(input.schema[i] for i in keep)
+        self.certain = input.certain - set(drop)
+        self.detail = " ".join(f"-?{v}" for v in drop)
+        if len(keep) == 1:
+            (only,) = keep
+            self._key = lambda row: (row[only],)
+        else:  # itemgetter() of two or more positions returns a tuple
+            self._key = itemgetter(*keep) if keep else (lambda row: ())
+
+    def children(self):
+        return (self.input,)
+
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        for chunk in _input_chunks(ctx, self.input):
+            merged: Counter = Counter()
+            for rows, mults in chunk:
+                if ctx.tick is not None:
+                    ctx.tick()
+                if mults is None:
+                    merged.update(map(self._key, rows))
+                else:
+                    for row, mult in zip(map(self._key, rows), mults):
+                        merged[row] += mult
+            yield from _sliced(
+                list(merged), list(merged.values()), ctx.chunk_sizes()
+            )
+
+
+def _merged(op: PhysicalOp, drop) -> PhysicalOp:
+    gone = [v for v in op.schema if v in drop]
+    return MergeOp(op, gone) if gone else op
+
+
+#: The closure sub-plan's endpoint columns (``#`` keeps them apart from
+#: every query variable and from the hop namespace).
+_FROM, _TO = "#s", "#o"
+
+
+class PathClosureOp(PhysicalOp):
+    """A closure step ``s p* o`` (also ``p+``, ``p?``) with set
+    semantics, walked from the bound end: the subject unless only the
+    object is bound, and with both free from every node of ``p``'s links
+    (the reference walker's zero-length domain).
+
+    Each round expands the frontier's new nodes as one batch through
+    ``expand`` — ``p`` compiled over a seed table of nodes
+    (:meth:`Compiler.seeded`), whose pattern steps probe the store's
+    prepared ``scan_prober`` — and reads the deadline clock once.
+    """
 
     name = "PathClosure"
 
@@ -1093,36 +1153,41 @@ class PathStepOp(PhysicalOp):
         pattern: TriplePattern,
         graph: GraphContext,
         chain_first: bool,
+        seeded: Tuple[PhysicalOp, Tuple[ValuesOp, ...]],
+        forward: bool,
     ):
         self.input = input
         self.pattern = pattern
         self.graph = graph
         self.chain_first = chain_first
-        self._var_index = {v: i for i, v in enumerate(input.schema)}
-        new_vars: List[str] = []
-        for part in (pattern.subject, pattern.object):
-            if (
-                isinstance(part, str)
-                and part not in self._var_index
-                and part not in new_vars
-            ):
-                new_vars.append(part)
-        self.schema = input.schema + tuple(new_vars)
-        self.certain = input.certain | set(new_vars)
+        self.expand, self._leaves = seeded
+        ends = (pattern.subject, pattern.object)
+        self._origin, self._target = ends if forward else ends[::-1]
+        pair = (_FROM, _TO) if forward else (_TO, _FROM)
+        self._pair = itemgetter(*map(self.expand.schema.index, pair))
+        new = [
+            v for v in dict.fromkeys(ends)
+            if isinstance(v, str) and v not in input.schema
+        ]
+        self.schema = input.schema + tuple(new)
+        self.certain = input.certain | set(new)
         self.detail = render_triple(pattern)
+        self._links = {
+            op.pattern.predicate
+            for op in execution_order(self.expand)
+            if isinstance(op, PatternJoinOp)
+            and not isinstance(op.pattern.predicate, str)
+        }
 
     def children(self):
-        return (self.input,)
+        return (self.input, self.expand)
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        chunks = _input_chunks(ctx, self.input)
-        first = next(chunks, [])
-        if not first and not self.chain_first:
-            # No input: skip the walk (and its all-pairs evaluation).
+        batches = _input(ctx, self.input)
+        if ctx.materialize and not batches and not self.chain_first:
             return
-        batches = _chain(first, _chain.from_iterable(chunks))
         detail = self.detail
-        if ctx.instrumented:
+        if ctx.instrumented:  # render this run's bindings of the slots
             pattern = self.pattern
             detail = render_triple(
                 replace(
@@ -1132,114 +1197,87 @@ class PathStepOp(PhysicalOp):
                 )
             )
         yield from _observed(
-            ctx, self._walk(ctx, batches), first, "path", "op.PathClosure",
-            detail, lambda: ({"join_method": "path"}, {}), batched=False,
+            ctx, self._walk(ctx, batches), batches, "path", "op.PathClosure",
+            detail, lambda: ({"join_method": "path"}, {}),
         )
 
-    def _walk(
-        self, ctx: ExecContext, batches: Iterable[Batch]
-    ) -> Iterator[Batch]:
-        """Port of ``_path_step_inner``; endpoint and graph constants
-        resolve at run time (like the evaluator), so an absent constant
-        drains the input and yields nothing."""
-        graph = self.graph
-        if isinstance(graph, str):
-            raise EvaluationError(_GRAPH_VAR_PATHS)
-        if isinstance(graph, _CONSTANT):
-            graph = ctx.resolve(graph)
-            if graph is None:
-                for _ in batches:
-                    pass
-                return
-        pattern = self.pattern
-        path = pattern.predicate
-        subject, obj = pattern.subject, pattern.object
-        var_index = self._var_index
-
-        def resolve(part):
-            if isinstance(part, str):
-                if part in var_index:
-                    return ("boundvar", part)
-                return ("freevar", part)
-            return ("const", ctx.resolve(part))
-
-        s_kind, s_val = resolve(subject)
-        o_kind, o_val = resolve(obj)
-        if (s_kind == "const" and s_val is None) or (
-            o_kind == "const" and o_val is None
-        ):
+    def _walk(self, ctx: ExecContext, batches) -> Iterator[Batch]:
+        origin, target = self._origin, self._target
+        constants = [origin, target, self.graph]
+        ids = {c: ctx.resolve(c) for c in constants if isinstance(c, _CONSTANT)}
+        if None in ids.values():  # a constant absent from the store
             for _ in batches:
                 pass
             return
-        if s_kind != "freevar":
-            yield from self._from_bound(
-                ctx, batches, graph, s_kind, s_val, o_kind, o_val,
-                subject_side=True,
-            )
-            return
-        if o_kind != "freevar":
-            yield from self._from_bound(
-                ctx, batches, graph, o_kind, o_val, s_kind, s_val,
-                subject_side=False,
-            )
-            return
-        # Both endpoints free: all-pairs evaluation, then join.
-        pairs = ctx.paths.pairs(path, graph)
-        if subject == obj:
-            variables: Tuple[str, ...] = (subject,)
-            right: Iterable[Pair] = (
-                ((start,), mult) for start, end, mult in pairs if start == end
-            )
-        else:
-            variables = (subject, obj)
-            right = (((start, end), mult) for start, end, mult in pairs)
-        yield from _join_batches(
-            batches, self.input.schema, right, variables, ctx.deadline,
-            ctx.chunk_sizes(),
-        )
-
-    def _from_bound(
-        self, ctx, batches, graph, bound_kind, bound_val, other_kind,
-        other_val, subject_side,
-    ) -> Iterator[Batch]:
-        """Port of ``_path_from_bound`` (per-execution reach cache)."""
-        var_index = self._var_index
-        path = self.pattern.predicate
-        walker = ctx.paths.ends_from if subject_side else ctx.paths.starts_to
-        cache: Dict[int, Dict[int, int]] = {}
-
-        def reach(node: int) -> Dict[int, int]:
-            found = cache.get(node)
-            if found is None:
-                found = walker(path, {node: 1}, graph)
-                cache[node] = found
-            return found
-
-        other_is_free = other_kind == "freevar"
+        # Output positions: an input column, or (at or past ``width``) a
+        # column this step binds; ``None`` for a constant.
+        position = {v: i for i, v in enumerate(self.schema)}
+        origin_at, target_at = position.get(origin), position.get(target)
+        width = len(self.input.schema)
+        free = origin_at is not None and origin_at >= width
+        extend = target_at is not None and target_at >= width + free
+        reach: Dict[int, set] = {}
+        successors: Dict[int, set] = {}
+        domain = None
         out = _BatchBuilder(ctx.chunk_sizes())
         for row, mult in _flatten(batches):
-            if bound_kind == "const":
-                start = bound_val
-            else:
-                start = row[var_index[bound_val]]
+            if not free:
+                starts = (ids[origin] if origin_at is None else row[origin_at],)
+            elif domain is None:
+                starts = domain = self._domain(ctx, ids.get(self.graph, self.graph))
+            for start in starts:
                 if start is None:
                     continue
-            ends = reach(start)
-            if other_is_free:
-                for end, path_mult in ends.items():
-                    out.add(row + (end,), mult * path_mult)
-            else:
-                if other_kind == "const":
-                    target = other_val
-                else:
-                    target = row[var_index[other_val]]
-                path_mult = ends.get(target, 0)
-                if path_mult:
-                    out.add(row, mult * path_mult)
-            if out.full():
-                yield out.flush()
+                ends = reach.get(start)
+                if ends is None:
+                    ends = reach[start] = self._reach(ctx, start, successors)
+                head = row + (start,) if free else row
+                if extend:
+                    out.add_repeat([head + (end,) for end in ends], mult)
+                elif (ids[target] if target_at is None else head[target_at]) in ends:
+                    out.add(head, mult)
+                if out.full():
+                    yield out.flush()
         if len(out):
             yield out.flush()
+
+    def _domain(self, ctx: ExecContext, graph) -> set:
+        nodes = set()
+        for predicate in filter(None, map(ctx.resolve, self._links)):
+            for s, _, o, _ in ctx.model.scan((None, predicate, None, graph)):
+                nodes.update((s, o))
+        return nodes
+
+    def _reach(self, ctx: ExecContext, start: int, successors) -> set:
+        """The nodes the closure reaches from ``start`` (set semantics);
+        ``successors`` caches each node's one-step expansion."""
+        repeat = self.pattern.predicate
+        seen = {start} if repeat.minimum == 0 else set()
+        frontier = [start]
+        while frontier:
+            if ctx.deadline is not None:
+                ctx.deadline.check()
+            fresh = [node for node in frontier if node not in successors]
+            for node in fresh:
+                successors[node] = set()
+            if fresh:
+                seed = [(node,) for node in fresh]
+                for leaf in self._leaves:
+                    ctx.seeds[leaf] = seed
+                for rows, _ in self.expand.run_batches(ctx):
+                    for origin, end in map(self._pair, rows):
+                        successors[origin].add(end)
+            frontier = [
+                end
+                for node in frontier
+                for end in successors[node]
+                if end not in seen and not seen.add(end)
+            ]
+            if not repeat.unbounded:
+                break
+            if frontier and _obs.is_active():
+                _obs.record_frontier(len(frontier))
+        return seen
 
 
 # ----------------------------------------------------------------------
@@ -1671,9 +1709,11 @@ class OrderByOp(PhysicalOp):
 
 
 class SliceOp(PhysicalOp):
-    """LIMIT/OFFSET counting rows (not multiplicities), like the
-    evaluator.  Streaming: stops pulling its input once OFFSET+LIMIT
-    rows have been seen, so upstream scans terminate early."""
+    """LIMIT/OFFSET counting solutions: a row of multiplicity ``m`` is
+    ``m`` solutions, so how far a plan merged its rows (hop merging,
+    DISTINCT) cannot change the answer.  Streaming: stops pulling its
+    input once OFFSET+LIMIT solutions have been seen, so upstream scans
+    terminate early."""
 
     name = "StreamingSlice"
 
@@ -1690,28 +1730,33 @@ class SliceOp(PhysicalOp):
         return (self.input,)
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        if self.limit == 0:
+        skip, left = self.offset, self.limit
+        if left == 0:
             return
-        offset = self.offset
-        limit = self.limit
-        skipped = 0
-        emitted = 0
         for rows, mults in self.input.run_batches(ctx):
-            if skipped < offset:
-                drop = min(offset - skipped, len(rows))
-                skipped += drop
-                if drop == len(rows):
-                    continue
-                rows = rows[drop:]
-                mults = None if mults is None else mults[drop:]
-            if limit is not None and emitted + len(rows) > limit:
-                take = limit - emitted
-                rows = rows[:take]
-                mults = None if mults is None else mults[:take]
+            if mults is None:  # one solution per row
+                drop = min(skip, len(rows))
+                skip -= drop
+                rows = rows[drop:] if left is None else rows[drop:drop + left]
+                if left is not None:
+                    left -= len(rows)
+            else:
+                kept: List[Row] = []
+                kept_mults: List[int] = []
+                for row, mult in zip(rows, mults):
+                    drop = min(skip, mult)
+                    skip -= drop
+                    mult -= drop
+                    if left is not None:
+                        mult = min(mult, left)
+                        left -= mult
+                    if mult:
+                        kept.append(row)
+                        kept_mults.append(mult)
+                rows, mults = kept, kept_mults
             if rows:
-                emitted += len(rows)
                 yield rows, mults
-            if limit is not None and emitted >= limit:
+            if left == 0:
                 return
 
 
@@ -1885,11 +1930,6 @@ def access_plan(root: PhysicalOp, model, lookup) -> List[str]:
     rows = 1
     for op in execution_order(root):
         step = len(lines) + 1
-        if isinstance(op, PathStepOp):
-            lines.append(
-                f"{step}: {op.detail}  <property path> (frontier walk)"
-            )
-            continue
         if not isinstance(op, PatternJoinOp):
             continue
         encoded = _estimated(op.pattern, lookup)
@@ -1939,7 +1979,7 @@ class CompiledExists(ExistsExpr):
 
     seedable: Tuple[str, ...] = ()
     graph: GraphContext = None
-    variants: Dict[Tuple[str, ...], Tuple[PhysicalOp, ValuesOp]] = field(
+    variants: Dict[Tuple[str, ...], Tuple[PhysicalOp, Tuple[ValuesOp, ...]]] = field(
         default_factory=dict, compare=False
     )
 
@@ -1962,10 +2002,11 @@ class CompiledExists(ExistsExpr):
             # Concurrent runs of a cached plan may both compile; either
             # variant is correct, setdefault keeps one.
             variant = self.variants.setdefault(
-                key, compiler.exists_variant(self.group, key, self.graph)
+                key, compiler.seeded(self.group, key, self.graph)
             )
-        root, leaf = variant
-        ctx.seeds[leaf] = [tuple(seed)]
+        root, leaves = variant
+        for leaf in leaves:
+            ctx.seeds[leaf] = [tuple(seed)]
         return next(iter(root.run_batches(ctx)), None) is not None
 
 
@@ -2014,10 +2055,6 @@ class Compiler:
             return UnitOp()
         if isinstance(plan, A.BGP):
             return self._compile_bgp(
-                plan, graph, self.compile(plan.input, graph)
-            )
-        if isinstance(plan, A.PathStep):
-            return self._compile_path(
                 plan, graph, self.compile(plan.input, graph)
             )
         if isinstance(plan, A.Join):
@@ -2132,16 +2169,19 @@ class Compiler:
         self, node: A.BGP, graph: GraphContext, input_op: PhysicalOp
     ) -> PhysicalOp:
         op = self._compile_seeds(node.seeds, input_op)
-        lookup = self._network.lookup_term
-        estimated = [_estimated(pattern, lookup) for pattern in node.patterns]
-        source = {id(e): p for e, p in zip(estimated, node.patterns)}
-        ordered = [
-            source[id(encoded)]
-            for encoded in order_patterns(
-                estimated, self._model, _estimated_graph(graph, lookup),
-                set(op.schema),
-            )
-        ]
+        if node.patterns[0].predicate_is_path():  # a closure step
+            ordered = list(node.patterns)
+        else:
+            lookup = self._network.lookup_term
+            estimated = [_estimated(p, lookup) for p in node.patterns]
+            source = {id(e): p for e, p in zip(estimated, node.patterns)}
+            ordered = [
+                source[id(encoded)]
+                for encoded in order_patterns(
+                    estimated, self._model, _estimated_graph(graph, lookup),
+                    set(op.schema),
+                )
+            ]
         # The first step also checks the later steps' constants: one
         # absent from the store empties the flush at run time.
         guard = tuple(
@@ -2152,25 +2192,45 @@ class Compiler:
         )
         filters = list(node.filters)
         chain_first = node.fresh
-        for pattern in ordered:
-            op = PatternJoinOp(op, pattern, graph, chain_first, guard)
+        for i, pattern in enumerate(ordered):
+            if pattern.predicate_is_path():
+                op = self._closure(op, pattern, graph, chain_first)
+            else:
+                op = PatternJoinOp(op, pattern, graph, chain_first, guard)
             chain_first = False
             guard = ()
             filters, op = self._attach_filters(filters, op)
+            if node.drop:
+                later = [pattern_variables(p) for p in ordered[i + 1:]]
+                op = _merged(op, node.drop.difference(*later))
         for expression in filters:  # pragma: no cover - defensive
             op = FilterApplyOp(op, expression, origin="pushed")
+        columns = [v for v in op.schema if v not in node.ends] + list(node.ends)
+        if node.ends and columns != list(op.schema):
+            op = ProjectOp(op, tuple(columns))
         return op
 
-    def _compile_path(
-        self, node: A.PathStep, graph: GraphContext, input_op: PhysicalOp
+    def _closure(
+        self,
+        op: PhysicalOp,
+        pattern: TriplePattern,
+        graph: GraphContext,
+        chain_first: bool,
     ) -> PhysicalOp:
-        op = self._compile_seeds(node.seeds, input_op)
-        op = PathStepOp(op, node.pattern, graph, chain_first=node.fresh)
-        filters = list(node.filters)
-        filters, op = self._attach_filters(filters, op)
-        for expression in filters:  # pragma: no cover - defensive
-            op = FilterApplyOp(op, expression, origin="pushed")
-        return op
+        """A closure step, walked from the subject unless only the
+        object is bound."""
+        subject, obj = pattern.subject, pattern.object
+        forward = not (
+            isinstance(subject, str)
+            and subject not in op.schema
+            and not (isinstance(obj, str) and obj not in op.schema)
+        )
+        inner = TriplePattern(_FROM, pattern.predicate.inner, _TO)
+        seeded = self.seeded(
+            GroupPattern((inner,)), (_FROM if forward else _TO,), graph,
+            "frontier",
+        )
+        return PathClosureOp(op, pattern, graph, chain_first, seeded, forward)
 
     def _compile_seeds(
         self,
@@ -2217,29 +2277,34 @@ class Compiler:
         compiled = CompiledExists(
             expression.group, expression.negated, seedable, graph
         )
-        compiled.variants[seedable] = self.exists_variant(
+        compiled.variants[seedable] = self.seeded(
             expression.group, seedable, graph
         )
         return compiled
 
-    def exists_variant(
-        self, group, names: Tuple[str, ...], graph: GraphContext
-    ) -> Tuple[PhysicalOp, ValuesOp]:
-        """The sub-plan of an EXISTS ``group`` seeded with ``names``:
-        its root and its seed leaf."""
+    def seeded(
+        self,
+        group: GroupPattern,
+        names: Tuple[str, ...],
+        graph: GraphContext,
+        rows: str = "outer row",
+    ) -> Tuple[PhysicalOp, Tuple[ValuesOp, ...]]:
+        """``group`` compiled to start from a table of ``names`` that each
+        run supplies through ``ctx.seeds`` (an EXISTS sub-plan, a closure
+        step): its root and its seed leaves — one per branch where a
+        path union starts from the seed."""
         start = A.Table(names, ())
         root = self.compile(
             optimize(
-                A.lower_group(group, start),
+                A.lower_group(group, start, graph_var=isinstance(graph, str)),
                 filter_pushdown=self._filter_pushdown,
             ),
             graph,
         )
-        leaf = root
-        while leaf.children():  # the group's fold starts at the seed
-            leaf = leaf.children()[0]
-        leaf.detail = " ".join([f"?{v}" for v in names] + ["× outer row"])
-        return root, leaf
+        leaves = tuple(_seed_leaves(root))
+        for leaf in leaves:
+            leaf.detail = " ".join([f"?{v}" for v in names] + ["×", rows])
+        return root, leaves
 
     # -- helpers -------------------------------------------------------
 
@@ -2251,6 +2316,18 @@ class Compiler:
         return JoinOp(
             left, self.compile(node.input, node.graph), graph=node.graph
         )
+
+
+def _seed_leaves(op: PhysicalOp) -> Iterator[PhysicalOp]:
+    """The leaves a seeded group's fold starts from: the bottom of its
+    spine, in every branch of a union distributed over the seed."""
+    if isinstance(op, UnionOp):
+        for branch in op.branches:
+            yield from _seed_leaves(branch)
+    elif op.children():
+        yield from _seed_leaves(op.children()[0])
+    else:
+        yield op
 
 
 class _ExistsBinder:

@@ -573,9 +573,13 @@ class DurableNetwork(SemanticNetwork):
             ]
             if not fresh:
                 return 0  # whole group already applied (redelivery)
-            with self.write_batch():
-                self._suspend_log = True
-                try:
+            # Logging stays suspended through the batch exit: a group
+            # that fails midway must not journal a follower-local noop,
+            # whose seq would shadow the leader's next record and make
+            # its redelivery look like a duplicate (silent divergence).
+            self._suspend_log = True
+            try:
+                with self.write_batch():
                     for record in fresh:
                         seq = record.get("seq")
                         if seq != self._next_seq + 1:
@@ -587,12 +591,11 @@ class DurableNetwork(SemanticNetwork):
                         self._wal.append(record)  # verbatim, stamps kept
                         self._next_seq = seq
                         applied += 1
-                finally:
-                    self._suspend_log = False
-                self._dirty_batch = True  # group has records; no noop
-                # Publish at exactly the leader's version: batch exit
-                # bumps by one, so park the counter just below it.
-                self._version = version - 1
+                    # Publish at exactly the leader's version: batch exit
+                    # bumps by one, so park the counter just below it.
+                    self._version = version - 1
+            finally:
+                self._suspend_log = False
             self._notify_wal("append")
         return applied
 

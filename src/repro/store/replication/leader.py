@@ -97,6 +97,12 @@ class ReplicationLeader:
         self._wal_event.set()
         self.network.remove_wal_listener(self._on_wal_event)
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below is prompt.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

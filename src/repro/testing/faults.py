@@ -263,6 +263,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stop.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below is prompt.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -60,7 +60,7 @@ from repro.sparql.expr import (
     passes_checks as _passes_checks,
     row_getter,
 )
-from repro.sparql.paths import PathEvaluator
+from repro.testing.paths import PathEvaluator
 from repro.sparql.physical import merge_compatible
 from repro.sparql.plan import (
     EncodedPattern,
@@ -578,15 +578,21 @@ class Evaluator:
     def _slice(self, relation: Relation, query: SelectQuery) -> Relation:
         if query.offset == 0 and query.limit is None:
             return relation
-        rows = relation.rows
-        mults = relation.mults
-        start = query.offset
-        stop = None if query.limit is None else start + query.limit
-        return Relation(
-            relation.variables,
-            rows[start:stop],
-            mults[start:stop] if mults else None,
-        )
+        # Solutions, not rows: a row of multiplicity m is m solutions.
+        skip, left = query.offset, query.limit
+        rows: List[Row] = []
+        mults: List[int] = []
+        for row, mult in relation.iter_with_mult():
+            drop = min(skip, mult)
+            skip -= drop
+            mult -= drop
+            if left is not None:
+                mult = min(mult, left)
+                left -= mult
+            if mult:
+                rows.append(row)
+                mults.append(mult)
+        return Relation(relation.variables, rows, mults)
 
     def _materialize(
         self, relation: Relation, projections: Sequence[Projection]

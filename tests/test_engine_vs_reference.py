@@ -353,6 +353,23 @@ class TestPipelineMatchesEvaluatorOnForms:
         "SELECT ?g ?x WHERE { GRAPH ?g { ?x <http://ex/likes> ?y "
         "FILTER (EXISTS { ?g <http://ex/since> ?s } "
         "&& NOT EXISTS { ?x <http://ex/knows> ?z }) } }",
+        # Property paths inside the other clauses: lowered steps, hop
+        # merges, union branches and closures against the walker.
+        "SELECT ?x ?y WHERE { ?x <http://ex/age> ?a OPTIONAL "
+        "{ ?x (<http://ex/knows>|<http://ex/likes>)/<http://ex/knows> ?y } }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y "
+        "MINUS { ?y (<http://ex/knows>)+ ?x } }",
+        "SELECT ?x WHERE { ?x <http://ex/age> ?a FILTER EXISTS "
+        "{ ?x (^<http://ex/knows>/!(<http://ex/age>))* <http://ex/bob> } }",
+        "SELECT ?x (COUNT(?y) AS ?c) WHERE "
+        "{ ?x <http://ex/knows>/<http://ex/knows>/<http://ex/name> ?y } "
+        "GROUP BY ?x",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows>/<http://ex/knows> ?y } "
+        "ORDER BY ?x ?y LIMIT 4",
+        # SELECT * lists a path's endpoints in subject-object order,
+        # whichever end the plan walked from.
+        "SELECT * WHERE { ?x ^<http://ex/knows> ?y . "
+        "?y ^(<http://ex/knows>/<http://ex/name>) ?z }",
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
@@ -398,6 +415,133 @@ class TestPipelineMatchesEvaluatorHypothesis:
             f"FILTER (?u = {filter_obj.n3()}) }}"
         )
         assert_same(engine, query)
+
+
+# ----------------------------------------------------------------------
+# Random property paths: pipeline vs walker vs reference evaluator
+# ----------------------------------------------------------------------
+#
+# The pipeline lowers paths to pattern steps and runs repetition in its
+# batched closure operator; the reference evaluator walks them with the
+# row-at-a-time walker in repro.testing.paths.  The two share no path
+# code, so each is checked against the walker called directly too.
+
+from collections import Counter as _Counter
+
+from repro.sparql.ast import PathLink
+from repro.testing.paths import PathEvaluator
+
+_LINKS = st.sampled_from([f"<{EX}{name}>" for name in ("p", "q", "r")])
+_path_texts = st.recursive(
+    _LINKS
+    | st.lists(_LINKS, min_size=1, max_size=2, unique=True).map(
+        lambda links: "!(%s)" % "|".join(links)
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda text: f"^({text})"),
+        st.tuples(inner, st.sampled_from("*+?")).map("({0[0]}){0[1]}".format),
+        st.lists(inner, min_size=2, max_size=3).map(
+            lambda texts: "(%s)" % "/".join(texts)
+        ),
+        st.lists(inner, min_size=2, max_size=3).map(
+            lambda texts: "(%s)" % "|".join(texts)
+        ),
+    ),
+    max_leaves=4,
+)
+#: An endpoint: a free variable, a constant, a variable bound by VALUES
+#: before the path runs, or one a sargable FILTER seeds (a set).
+_endpoints = st.one_of(
+    st.just(()),
+    st.sampled_from(_SUBJECTS),
+    st.lists(st.sampled_from(_SUBJECTS), min_size=1, max_size=2, unique=True),
+    st.sampled_from(_SUBJECTS).map(lambda term: {term}),
+)
+
+
+def _endpoint_text(var, end):
+    """``(term text, VALUES before the path, FILTER after it)``."""
+    if isinstance(end, IRI):
+        return end.n3(), "", ""
+    if isinstance(end, set):
+        return f"?{var}", "", f"FILTER (?{var} = {next(iter(end)).n3()}) "
+    if end:
+        return f"?{var}", "VALUES ?%s { %s } " % (
+            var, " ".join(term.n3() for term in end)
+        ), ""
+    return f"?{var}", "", ""
+
+
+def _walked(network, path, subject, obj):
+    """The walker's (start, end) multiset for ``subject path obj``,
+    chosen like the reference evaluator: from a bound end, else all
+    pairs."""
+    walker = PathEvaluator(network.model("m"), network.lookup_term)
+
+    def ids(end):
+        terms = [end] if isinstance(end, IRI) else list(end)
+        found = [network.lookup_term(term) for term in terms]
+        return None if not terms else [i for i in found if i is not None]
+
+    starts, ends = ids(subject), ids(obj)
+    walked = _Counter()
+    if starts is not None:
+        for start in starts:
+            for end, mult in walker.ends_from(path, {start: 1}, None).items():
+                if ends is None or end in ends:
+                    walked[start, end] += mult
+    elif ends is not None:
+        for end in ends:
+            for start, mult in walker.starts_to(path, {end: 1}, None).items():
+                walked[start, end] += mult
+    else:
+        for start, end, mult in walker.pairs(path, None):
+            walked[start, end] += mult
+    return walked
+
+
+class TestRandomPathsMatchWalkerAndReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        quads=_quads,
+        path=_path_texts,
+        subject=_endpoints,
+        obj=_endpoints,
+    )
+    def test_random_path_identical(self, quads, path, subject, obj):
+        network = SemanticNetwork()
+        network.create_model("m")
+        network.bulk_load("m", quads)
+        engine = SparqlEngine(network, default_model="m")
+        s_text, s_values, s_filter = _endpoint_text("s", subject)
+        o_text, o_values, o_filter = _endpoint_text("o", obj)
+        where = (
+            f"{{ {s_values}{o_values}{s_text} {path} {o_text} "
+            f"{s_filter}{o_filter}}}"
+        )
+        query = f"SELECT (COUNT(*) AS ?n) WHERE {where}"
+        if s_text.startswith("?") or o_text.startswith("?"):
+            variables = [t for t in (s_text, o_text) if t.startswith("?")]
+            query = f"SELECT {' '.join(variables)} WHERE {where}"
+        assert_same(engine, query)
+        result = engine.select(query)
+        path = next(
+            element.predicate
+            for element in engine._parse_query(query).where.elements
+            if hasattr(element, "predicate")
+        )
+        if isinstance(path, IRI):  # a bare link parses as a predicate
+            path = PathLink(path)
+        walked = _walked(network, path, subject, obj)
+        if list(result.variables) == ["n"]:
+            assert result.scalar().to_python() == sum(walked.values())
+            return
+        got = _Counter()
+        for row in result:
+            start = row.get("s", subject if isinstance(subject, IRI) else None)
+            end = row.get("o", obj if isinstance(obj, IRI) else None)
+            got[network.lookup_term(start), network.lookup_term(end)] += 1
+        assert got == walked
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +735,8 @@ def test_production_modules_do_not_import_the_oracle():
 
     code = (
         "import sys, repro.cli, repro.server, repro.core, repro.sparql; "
-        "print('repro.testing.reference' in sys.modules)"
+        "print(any(m in sys.modules for m in "
+        "('repro.testing.reference', 'repro.testing.paths')))"
     )
     completed = subprocess.run(
         [sys.executable, "-c", code],

@@ -297,7 +297,7 @@ _OBS_QUERIES = [
     'SELECT ?n WHERE { ?n k:hasTag ?t FILTER (?t != "never") }',
     # Two-hop traversal with a repeated variable.
     "SELECT ?a ?c WHERE { ?a r:follows ?b . ?b r:follows ?c }",
-    # Property path (frontier walk).
+    # Property path (a closure step).
     "SELECT ?a ?c WHERE { ?a r:follows+ ?c }",
 ]
 

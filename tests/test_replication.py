@@ -319,6 +319,27 @@ class TestApplyReplicated:
         source.close()
         target.close()
 
+    def test_failed_group_journals_nothing_of_its_own(self, tmp_path):
+        # A group that breaks off midway (raw wire duplication can
+        # repeat a record inside a group) keeps what it applied, and
+        # the follower journals no record of its own: the leader's next
+        # record is still applied on redelivery.
+        source, target = self.make_pair(tmp_path)
+        source.create_model("m")
+        for n in (1, 2, 3):
+            source.insert("m", quad(n))
+        records = self.records_of(source)
+        *head, last = records
+        with pytest.raises(ReplicationSequenceError):
+            target.apply_replicated(head + head[-1:], head[-1]["v"])
+        assert target.applied_seq == head[-1]["seq"]
+        assert target.apply_replicated([last], last["v"]) == 1
+        assert state_digest(target.snapshot()) == state_digest(
+            source.snapshot()
+        )
+        source.close()
+        target.close()
+
     def test_empty_group_rejected(self, tmp_path):
         _, target = self.make_pair(tmp_path)
         with pytest.raises(ReplicationSequenceError):
@@ -449,6 +470,40 @@ def http_get(port, path, headers=None):
     with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, dict(response.headers), (
             response.read().decode("utf-8")
+        )
+
+
+class TestStopIsPrompt:
+    """``stop()`` wakes the thread blocked in ``accept()`` instead of
+    waiting out its join timeout and leaving the thread behind."""
+
+    @staticmethod
+    def _stop_after_follower_left(tmp_path, stoppable, address, threads):
+        follower_net = open_durable(str(tmp_path / "follower"))
+        follower = ReplicationFollower(follower_net, *address).start()
+        assert follower.wait_connected(5.0)
+        follower.stop()
+        follower_net.close()
+        started = time.monotonic()
+        stoppable.stop()
+        assert time.monotonic() - started < 1.0
+        assert not [t.name for t in threads() if t.is_alive()]
+
+    def test_leader_stop_after_follower_left(self, tmp_path, leader_pair):
+        _, leader = leader_pair
+        self._stop_after_follower_left(
+            tmp_path, leader, leader.address,
+            lambda: [leader._accept_thread, *leader._threads],
+        )
+
+    def test_wire_proxy_stop_after_follower_left(self, tmp_path, leader_pair):
+        from repro.testing.faults import ChaosProxy
+
+        _, leader = leader_pair
+        proxy = ChaosProxy(leader.address).start()
+        self._stop_after_follower_left(
+            tmp_path, proxy, proxy.address,
+            lambda: [proxy._accept_thread, *proxy._threads],
         )
 
 

@@ -65,13 +65,13 @@ WIDE_HAVING = (
 def variant_count(monkeypatch):
     """Counts EXISTS sub-plan compiles."""
     calls = []
-    original = Compiler.exists_variant
+    original = Compiler.seeded
 
-    def counting(self, group, names, graph):
+    def counting(self, group, names, graph, *rows):
         calls.append(names)
-        return original(self, group, names, graph)
+        return original(self, group, names, graph, *rows)
 
-    monkeypatch.setattr(Compiler, "exists_variant", counting)
+    monkeypatch.setattr(Compiler, "seeded", counting)
     return calls
 
 

@@ -100,6 +100,20 @@ class TestAlternativeAndInverse:
         ]
 
 
+    def test_alternative_seeded_by_filter(self, chain_engine):
+        # The sargable FILTER seeds every branch of the union.
+        result = chain_engine.select(
+            "SELECT ?y WHERE { ?x (ex:q|ex:p) ?y FILTER (?x = ex:n1) }"
+        )
+        assert [t.value for t in result.column("y")] == [EX + "n2"]
+        result = chain_engine.select(
+            "SELECT ?y WHERE { ?x (ex:q|ex:p)+ ?y FILTER (?x = ex:n3) }"
+        )
+        assert sorted(t.value for t in result.column("y")) == [
+            EX + "n1", EX + "n2", EX + "n3", EX + "n4",
+        ]
+
+
 class TestRepetition:
     def test_star_includes_start(self, chain_engine):
         result = chain_engine.select("SELECT ?y WHERE { ex:n1 ex:p* ?y }")
@@ -161,22 +175,84 @@ class TestPathsJoinedWithPatterns:
         assert len(result) == 0
 
 
-class TestFivehopCounting:
-    def test_path_explosion_counted_without_materialization(self):
-        """A dense two-level fan (10 x 10) has 100 two-hop paths."""
+class TestLimitCountsSolutions:
+    def test_limit_counts_paths_not_rows(self):
+        # Two 2-hop paths reach ex:d: one row of multiplicity 2, so
+        # LIMIT 1 must still return exactly one solution.
         net = SemanticNetwork()
         net.create_model("m")
-        quads = []
-        for i in range(10):
-            quads.append(Quad(ex("root"), ex("p"), ex(f"mid{i}")))
-            for j in range(10):
-                quads.append(Quad(ex(f"mid{i}"), ex("p"), ex(f"leaf{j}")))
-        net.bulk_load("m", quads)
+        net.bulk_load(
+            "m",
+            [
+                Quad(ex("a"), ex("p"), ex("b")),
+                Quad(ex("a"), ex("p"), ex("c")),
+                Quad(ex("b"), ex("p"), ex("d")),
+                Quad(ex("c"), ex("p"), ex("d")),
+            ],
+        )
         engine = SparqlEngine(net, prefixes={"ex": EX}, default_model="m")
-        assert count(
-            engine,
-            "SELECT (COUNT(?y) AS ?c) WHERE { ex:root ex:p/ex:p ?y }",
-        ) == 100
+        for offset, expected in ((0, 1), (1, 1), (2, 0)):
+            result = engine.select(
+                "SELECT ?y WHERE { ex:a ex:p/ex:p ?y } "
+                f"LIMIT 1 OFFSET {offset}"
+            )
+            assert len(result) == expected
+
+
+class TestFivehopCounting:
+    """A 3-level complete fan (root -> 10 -> 10 -> 10, every node of a
+    level following every node of the next) has 1 000 three-hop paths.
+    Counting them must not materialise them: each hop is merged away
+    after the step that reads it, so no operator emits more than 100
+    rows — in the SPARQL path and in its PGQL twin alike."""
+
+    @pytest.fixture(scope="class")
+    def fan(self):
+        from repro.core import PropertyGraphRdfStore
+        from repro.propertygraph.model import PropertyGraph
+
+        graph = PropertyGraph()
+        levels = [[0], range(1, 11), range(11, 21), range(21, 31)]
+        for vertex in range(31):
+            graph.add_vertex(vertex)
+        for upper, lower in zip(levels, levels[1:]):
+            for source in upper:
+                for target in lower:
+                    graph.add_edge(source, "follows", target)
+        store = PropertyGraphRdfStore(model="NG")
+        store.load(graph)
+        return store
+
+    @staticmethod
+    def _analyze(engine, ast):
+        from repro.obs.query import QueryCollector
+
+        collector = QueryCollector()
+        result = engine.run_ast(ast, None, collector=collector)
+        return result.scalar().to_python(), [
+            step.rows_out for step in collector.operators
+        ]
+
+    def test_path_explosion_counted_without_materialization(self, fan):
+        root = fan.vocabulary.vertex_iri(0).n3()
+        text = (
+            "SELECT (COUNT(?y) AS ?c) WHERE "
+            f"{{ {root} r:follows/r:follows/r:follows ?y }}"
+        )
+        engine = fan.engine
+        paths, rows = self._analyze(engine, engine._parse_query(text))
+        assert paths == 1000
+        assert rows and max(rows) <= 100
+
+    def test_pgql_twin_counted_without_materialization(self, fan):
+        text = (
+            "MATCH (n)-[:follows]->()-[:follows]->()-[:follows]->(y) "
+            "WHERE id(n) = 0 RETURN COUNT(y) AS c"
+        )
+        engine = fan.engine
+        paths, rows = self._analyze(engine, engine._pgql_translate(text, None)[0])
+        assert paths == 1000
+        assert rows and max(rows) <= 100
 
 
 class TestNegatedPropertySets:

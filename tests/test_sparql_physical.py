@@ -125,7 +125,8 @@ def _concrete_ops(base=PhysicalOp):
 
 
 #: Together these plans contain every operator kind: BGP scans and
-#: joins, a path with both endpoints free and one from a bound end,
+#: joins, a closure with both endpoints free and one from a bound end,
+#: a fixed-length path whose hops are merged away,
 #: FILTER, a sargable seed, OPTIONAL, MINUS, UNION, VALUES, BIND,
 #: GROUP BY, DISTINCT, ORDER BY, LIMIT and an absent constant.  LIMIT
 #: only follows a total ORDER BY, so every policy must agree exactly.
@@ -144,6 +145,8 @@ CONTRACT_QUERIES = [
     "ORDER BY ?q ?far LIMIT 7",
     "SELECT ?x ?z ?p ?q WHERE { ?x ex:name ?nx . ?y ex:follows ?z . "
     "?p ex:follows+ ?q }",
+    "SELECT ?a ?c WHERE { ?a ex:follows/ex:follows/ex:follows ?c } "
+    "ORDER BY ?a ?c",
 ]
 
 

@@ -127,8 +127,12 @@ class TestExplain:
         assert any("SCPGM" in line or "SPCGM" in line for line in lines[1:])
 
     def test_explain_reports_path_steps(self, engine):
+        # A fixed-length path is lowered to one pattern step per hop:
+        # the second probes the index with the hidden hop bound.
         lines = engine.explain("SELECT ?y WHERE { ex:s0 ex:p/ex:p ?y }")
-        assert any("property path" in line for line in lines)
+        assert len(lines) == 2
+        assert all("<http://ex/p>" in line for line in lines)
+        assert "index range scan, NLJ" in lines[1]
 
     def test_explain_graph_clause(self, engine):
         lines = engine.explain(
@@ -167,7 +171,7 @@ class TestExplainIsTheCompiledPlan:
         self, twitter_stores, model
     ):
         from repro.sparql.executor import compile_query
-        from repro.sparql.physical import PathStepOp, PatternJoinOp
+        from repro.sparql.physical import PatternJoinOp
 
         def leaf_first(op):
             for child in op.children():
@@ -195,7 +199,7 @@ class TestExplainIsTheCompiledPlan:
             steps = [
                 op.detail
                 for op in leaf_first(compiled.root)
-                if isinstance(op, (PatternJoinOp, PathStepOp))
+                if isinstance(op, PatternJoinOp)
             ]
             assert steps, query_name
             if explained != steps:
