@@ -380,8 +380,6 @@ class SparqlEngine:
             compiled,
             snapshot,
             store_model,
-            union_default_graph=self._union_default,
-            filter_pushdown=self._filter_pushdown,
             collector=collector,
             deadline=deadline,
             batch_size=self.batch_size,

@@ -11,9 +11,11 @@ Compiled queries are immutable and reusable.  The engine compiles the
 *shape* of a query — its constants lifted to
 :class:`~repro.sparql.ast.Param` slots — caches it per shape (see
 :mod:`repro.sparql.plancache`), and binds the lifted values at
-``execute(..., params=)``; one compiled query may run concurrently
-with different bindings.  A query compiled from a concrete AST has no
-slots and runs without ``params``.
+``execute(..., params=)``: each run resolves the plan's constant table
+(:class:`~repro.sparql.physical.Constants`) once, against the snapshot
+it reads.  One compiled query may run concurrently with different
+bindings.  A query compiled from a concrete AST has no lifted slots and
+runs without ``params``.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from repro.sparql.ast import (
 from repro.sparql.errors import EvaluationError
 from repro.sparql.optimize import optimize
 from repro.sparql.physical import (
-    Compiler,
     ExecContext,
     PhysicalOp,
     ProjectOp,
     SliceOp,
+    compile_plan,
 )
 from repro.sparql.results import SelectResult
 
@@ -71,6 +73,8 @@ class CompiledQuery:
     #: ``"sparql"`` or ``"pgql"`` (the PGQL front-end lowers to the same
     #: AST, so a cached plan serves both; this tags EXPLAIN output).
     language: str = "sparql"
+    #: DESCRIBE targets: a variable, or the constant slot of a resource.
+    targets: Tuple = ()
 
 
 def _protected_variables(ast: Query) -> frozenset:
@@ -117,8 +121,15 @@ def compile_query(
         filter_pushdown=filter_pushdown,
         protected=_protected_variables(ast),
     )
-    compiler = Compiler(network, model, union_default_graph, filter_pushdown)
-    root = compiler.compile(optimized, compiler.default_graph)
+    root = compile_plan(
+        optimized, network, model, union_default_graph, filter_pushdown
+    )
+    targets: Tuple = ()
+    if form == "describe":
+        targets = tuple(
+            t if isinstance(t, str) else root.constants.slot(t)
+            for t in ast.targets
+        )
     variables: Tuple[str, ...] = ()
     if form == "select":
         node = root
@@ -136,6 +147,7 @@ def compile_query(
         model_name=model_name,
         data_version=network.data_version,
         language=language,
+        targets=targets,
     )
 
 
@@ -149,8 +161,6 @@ def execute(
     compiled: CompiledQuery,
     network,
     model,
-    union_default_graph: bool = True,
-    filter_pushdown: bool = True,
     collector=None,
     deadline=None,
     batch_size: int = 1024,
@@ -159,19 +169,19 @@ def execute(
     """Run a compiled query; the return type depends on the form.
 
     ``params`` binds the plan's lifted slots by index (a plan compiled
-    from a concrete AST has none).
+    from a concrete AST has none); the context resolves every constant
+    of the plan once, here, after the caller pinned ``network``.
     """
     if deadline is not None:
         deadline.check()
     ctx = ExecContext(
         network,
         model,
-        union_default_graph=union_default_graph,
-        filter_pushdown=filter_pushdown,
         collector=collector,
         deadline=deadline,
         streaming=compiled.streaming,
         batch_size=batch_size,
+        constants=compiled.root.constants,
         params=params,
     )
     if compiled.form == "select":
@@ -255,14 +265,11 @@ def _execute_construct(
 def _execute_describe(
     compiled: CompiledQuery, ctx: ExecContext
 ) -> List[Triple]:
-    query = compiled.ast
-    target_ids: List[int] = []
-    constants = [t for t in query.targets if not isinstance(t, str)]
-    variables = [t for t in query.targets if isinstance(t, str)]
-    for term in constants:
-        encoded = ctx.resolve(term)
-        if encoded is not None:
-            target_ids.append(encoded)
+    target_ids = [
+        ctx.ids[t] for t in compiled.targets
+        if not isinstance(t, str) and ctx.ids[t] is not None
+    ]
+    variables = [t for t in compiled.targets if isinstance(t, str)]
     if variables:
         schema = compiled.root.schema
         rows = [row for row, _ in compiled.root.run(ctx)]

@@ -155,18 +155,14 @@ def decide_join(input_rows: int, pattern_estimate: int) -> JoinDecision:
     return JoinDecision(method, input_rows, pattern_estimate)
 
 
-def describe_bound(pattern, bound: Set[str], decode) -> str:
+def describe_bound(slots, bound: Set[str], decode) -> str:
     """Human-readable bound-position list for EXPLAIN, Table 5 style.
 
-    ``pattern`` holds variables (strings) and constants — term IDs or
-    terms, rendered by ``decode``.
+    ``slots`` are a pattern's subject, predicate and object: variables
+    (strings) and constants, rendered by ``decode``.
     """
     parts = []
-    for letter, slot in (
-        ("S", pattern.subject),
-        ("P", pattern.predicate),
-        ("C", pattern.object),
-    ):
+    for letter, slot in zip("SPC", slots):
         if not isinstance(slot, str):
             parts.append(f"{letter}={decode(slot)}")
         elif slot in bound:

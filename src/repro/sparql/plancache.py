@@ -11,12 +11,15 @@ frozen AST is itself the key (with the model name): ``id(n)=338`` and
 ``id(n)=339`` share one entry, and so do a PGQL and a SPARQL query that
 lower to the same shape.
 
-**Binding.**  A compiled plan holds no term ID of a query constant.
-The engine passes the lifted values to the executor, and the operators
-resolve every constant against the values table when they run
-(:meth:`repro.sparql.physical.ExecContext.resolve`).  An absent
-constant is an empty answer decided at execute time, so the same
-cached shape returns the row once the constant is inserted.
+**Binding.**  A compiled plan holds no term ID of a query constant:
+the compiler numbers every constant its operators read — lifted slots
+and the shape's own terms alike — in one table per plan
+(:class:`repro.sparql.physical.Constants`).  The engine passes the
+lifted values to the executor, whose context resolves the whole table
+with one lookup pass per run, against the pinned snapshot; operators
+read the IDs by slot.  An absent constant is an empty answer decided
+at execute time, so the same cached shape returns the row once the
+constant is inserted.
 
 **Invalidation.**  A plan reads the store's statistics (index counts
 order the joins), never its data, so DML does not invalidate it.  An

@@ -152,10 +152,9 @@ class UpdateExecutor:
         ctx = ExecContext(
             self._network,
             model,
-            union_default_graph=self._union_default,
-            filter_pushdown=self._filter_pushdown,
             deadline=self._deadline,
             streaming=False,
+            constants=root.constants,
         )
         return [row for row, _ in root.run(ctx)], root.schema
 

@@ -24,8 +24,6 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from repro.obs import metrics as _obs
-from repro.obs import trace as _trace
 from repro.rdf.quad import Triple
 from repro.rdf.terms import Term
 from repro.sparql import functions as F
@@ -66,17 +64,19 @@ from repro.sparql.plan import (
     EncodedPattern,
     GraphContext,
     decide_join,
-    describe_bound,
     order_patterns,
 )
 from repro.sparql.results import SelectResult
-from repro.sparql.unparse import render_expr, render_triple
 
 # ----------------------------------------------------------------------
 # Relations: the oracle's solution-sequence representation
 # ----------------------------------------------------------------------
 
 Row = Tuple[Optional[int], ...]
+
+#: The ID of a query constant absent from the store: no index entry
+#: holds it, so its pattern matches nothing and estimates at 0 rows.
+_ABSENT = -1
 
 #: Optional per-row callback threaded in by the evaluator; used to tick
 #: a cooperative query deadline from inside the materialization loops
@@ -379,7 +379,6 @@ class Evaluator:
         model,
         union_default_graph: bool = True,
         filter_pushdown: bool = True,
-        collector=None,
         deadline=None,
     ):
         self._network = network
@@ -387,7 +386,6 @@ class Evaluator:
         self._model = model
         self._union_default = union_default_graph
         self._filter_pushdown = filter_pushdown
-        self._collector = collector  # obs.QueryCollector or None
         #: Optional repro.sparql.deadline.Deadline, ticked from the
         #: scan/join/filter loops; None keeps those loops check-free.
         self._deadline = deadline
@@ -698,8 +696,6 @@ class Evaluator:
         flush_bgp()
         for entry in pending:
             if not entry.applied:
-                if _obs.is_active():
-                    _obs.inc("filter.group_end")
                 relation = self._apply_filter(entry.expression, relation)
         return relation
 
@@ -723,15 +719,13 @@ class Evaluator:
             variable, term = match
             if variable in relation.variables:
                 continue  # ordinary push-down will handle it
-            if _obs.is_active():
-                _obs.inc("filter.sargable_seed")
             term_id = self._encode_constant(term)
-            if term_id is None:
-                entry.applied = True
-                return Relation.empty(relation.variables + (variable,))
-            relation = relation.extended(
-                variable, [term_id] * len(relation.rows)
-            )
+            if term_id is None:  # no rows, but every seed's column
+                relation = Relation.empty(relation.variables + (variable,))
+            else:
+                relation = relation.extended(
+                    variable, [term_id] * len(relation.rows)
+                )
             entry.applied = True
         return relation
 
@@ -752,8 +746,6 @@ class Evaluator:
                 row[p] is None for row in relation.rows for p in positions
             ):
                 continue
-            if _obs.is_active():
-                _obs.inc("filter.pushdown")
             relation = self._apply_filter(entry.expression, relation)
             entry.applied = True
         return relation
@@ -761,13 +753,12 @@ class Evaluator:
     def _evaluate_graph(
         self, element: GraphGraphPattern, relation: Relation
     ) -> Relation:
-        if isinstance(element.graph, str):
-            context: GraphContext = element.graph
-        else:
-            graph_id = self._encode_constant(element.graph)
-            if graph_id is None:
-                return Relation.empty(relation.variables)
-            context = graph_id
+        context: GraphContext = element.graph
+        if not isinstance(context, str):
+            context = self._encode_constant(context)
+        if context is None:  # no rows, but the group's variables
+            inner = self.evaluate_group(element.group, _ABSENT)
+            return join(relation, Relation.empty(inner.variables))
         inner = self.evaluate_group(element.group, context)
         return join(relation, inner, tick=self._tick)
 
@@ -796,27 +787,6 @@ class Evaluator:
         return Relation(element.variables, rows)
 
     def _apply_filter(self, expression: Expression, relation: Relation) -> Relation:
-        if _trace.is_active():
-            with _trace.span(
-                "op.filter",
-                detail=render_expr(expression),
-                rows_in=len(relation.rows),
-            ) as op_span:
-                result = self._apply_filter_inner(expression, relation)
-                op_span.set("rows_out", len(result.rows))
-            return result
-        return self._apply_filter_inner(expression, relation)
-
-    def _apply_filter_inner(
-        self, expression: Expression, relation: Relation
-    ) -> Relation:
-        collector = self._collector
-        if collector is not None:
-            collector.begin_operator(
-                "filter",
-                detail=render_expr(expression),
-                rows_in=len(relation.rows),
-            )
         getter = self._row_getter(relation)
         deadline = self._deadline
         keep_rows: List[Tuple] = []
@@ -832,8 +802,6 @@ class Evaluator:
             if passed:
                 keep_rows.append(row)
                 keep_mults.append(mult)
-        if collector is not None:
-            collector.end_operator(rows_out=len(keep_rows))
         if all(m == 1 for m in keep_mults):
             return Relation(relation.variables, keep_rows)
         return Relation(relation.variables, keep_rows, keep_mults)
@@ -854,51 +822,39 @@ class Evaluator:
         for pattern in patterns:
             if pattern.predicate_is_path():
                 path_steps.append(pattern)
-                continue
-            encoded = self._encode_pattern(pattern)
-            if encoded is None:
-                return Relation.empty(relation.variables)
-            plain.append(encoded)
+            else:
+                plain.append(self._encode_pattern(pattern))
         # Sargable-filter rewriting: FILTER (?v = <constant>) makes ?v a
         # known constant; seed it as a bound column so every pattern
         # mentioning ?v becomes an index probe instead of a scan (this
         # is what Oracle's dynamic sampling achieves for EQ3).
         if pending is not None:
             relation = self._seed_constant_filters(pending, relation)
-        if plain:
-            if _trace.is_active():
-                with _trace.span("plan", patterns=len(plain)):
-                    ordered = order_patterns(
-                        plain, self._model, graph, set(relation.variables)
-                    )
-            else:
-                ordered = order_patterns(
-                    plain, self._model, graph, set(relation.variables)
-                )
-            for encoded in ordered:
-                relation = self._pattern_step(encoded, graph, relation)
-                if pending is not None:
-                    relation = self._apply_eligible_filters(pending, relation)
-                if not relation.rows:
-                    return relation
+        # Every step runs, also over an empty relation, so the result
+        # binds every variable of the flush (``SELECT *`` lists them).
+        ordered = order_patterns(
+            plain, self._model, graph, set(relation.variables)
+        )
+        for encoded in ordered:
+            relation = self._pattern_step(encoded, graph, relation)
+            if pending is not None:
+                relation = self._apply_eligible_filters(pending, relation)
         for pattern in path_steps:
             relation = self._path_step(pattern, graph, relation)
             if pending is not None:
                 relation = self._apply_eligible_filters(pending, relation)
-            if not relation.rows:
-                return relation
         return relation
 
-    def _encode_pattern(self, pattern: TriplePattern) -> Optional[EncodedPattern]:
+    def _encode_pattern(self, pattern: TriplePattern) -> EncodedPattern:
+        """``pattern`` with its constants' IDs; a constant absent from
+        the store is :data:`_ABSENT`, which matches no quad."""
         slots = []
         for part in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(part, str):
-                slots.append(part)
-            else:
-                encoded = self._encode_constant(part)
-                if encoded is None:
-                    return None  # constant not in store: no matches
-                slots.append(encoded)
+            if not isinstance(part, str):
+                part = self._encode_constant(part)
+                if part is None:
+                    part = _ABSENT
+            slots.append(part)
         return EncodedPattern(*slots)
 
     def _pattern_step(
@@ -913,52 +869,15 @@ class Evaluator:
         decision = decide_join(len(relation.rows), estimate)
         # The strategy actually executed: a disconnected pattern is a
         # cartesian scan-join regardless of the NLJ/hash thresholds.
-        if shared and decision.method == "hash join":
-            executed, reason = "hash join", decision.describe()
-        elif not shared and len(relation.rows) > 1:
-            executed, reason = "cartesian", "disconnected pattern: scan once"
-        else:
-            executed, reason = "NLJ", decision.describe()
-        collector = self._collector
-        if collector is not None:
-            collector.begin_operator(
-                "pattern",
-                detail=self._render_encoded(pattern),
-                bound=describe_bound(
-                    pattern, set(relation.variables), self._decode_id
-                ),
-                join_method=executed,
-                join_reason=reason,
-                estimate=estimate,
-                rows_in=len(relation.rows),
-            )
-        if _obs.is_active():
-            _obs.record_join(executed)
-
-        def run_step() -> Relation:
-            if executed == "NLJ":
-                return self._nested_loop_step(pattern, graph, relation)
+        if (shared and decision.method == "hash join") or (
+            not shared and len(relation.rows) > 1
+        ):
             # hash join or cartesian: one standalone scan, then join
             return join(
                 relation, self._scan_to_relation(pattern, graph),
                 tick=self._tick,
             )
-
-        if _trace.is_active():
-            with _trace.span(
-                "op.pattern",
-                detail=self._render_encoded(pattern),
-                join=executed,
-                estimate=estimate,
-                rows_in=len(relation.rows),
-            ) as op_span:
-                result = run_step()
-                op_span.set("rows_out", len(result.rows))
-        else:
-            result = run_step()
-        if collector is not None:
-            collector.end_operator(rows_out=len(result.rows))
-        return result
+        return self._nested_loop_step(pattern, graph, relation)
 
     def _graph_slot_and_filter(
         self, graph: GraphContext, row_value: Optional[int] = None
@@ -1108,31 +1027,6 @@ class Evaluator:
     def _path_step(
         self, pattern: TriplePattern, graph: GraphContext, relation: Relation
     ) -> Relation:
-        collector = self._collector
-        if collector is not None:
-            collector.begin_operator(
-                "path",
-                detail=render_triple(pattern),
-                join_method="path",
-                rows_in=len(relation.rows),
-            )
-        if _trace.is_active():
-            with _trace.span(
-                "op.path",
-                detail=render_triple(pattern),
-                rows_in=len(relation.rows),
-            ) as op_span:
-                result = self._path_step_inner(pattern, graph, relation)
-                op_span.set("rows_out", len(result.rows))
-        else:
-            result = self._path_step_inner(pattern, graph, relation)
-        if collector is not None:
-            collector.end_operator(rows_out=len(result.rows))
-        return result
-
-    def _path_step_inner(
-        self, pattern: TriplePattern, graph: GraphContext, relation: Relation
-    ) -> Relation:
         if isinstance(graph, str):
             raise EvaluationError(
                 "property paths inside GRAPH ?var are not supported"
@@ -1152,10 +1046,15 @@ class Evaluator:
 
         s_kind, s_val = resolve(subject)
         o_kind, o_val = resolve(obj)
-        if (s_kind == "const" and s_val is None) or (
+        absent = (s_kind == "const" and s_val is None) or (
             o_kind == "const" and o_val is None
-        ):
-            return Relation.empty(relation.variables)
+        )
+        if absent or not relation.rows:
+            ends = [
+                v for v in dict.fromkeys((subject, obj))
+                if isinstance(v, str) and v not in var_index
+            ]
+            return Relation.empty(relation.variables + tuple(ends))
 
         # Choose direction: prefer walking from a bound endpoint.
         if s_kind != "freevar":
@@ -1388,19 +1287,6 @@ class Evaluator:
     def _encode_constant(self, term: Term) -> Optional[int]:
         """Encode a query constant without interning new values."""
         return self._network.lookup_term(term)
-
-    def _decode_id(self, term_id: int) -> str:
-        """Render a term ID for operator labels (EXPLAIN ANALYZE)."""
-        try:
-            return self._values.term(term_id).n3()
-        except Exception:
-            return f"#{term_id}"
-
-    def _render_encoded(self, pattern: EncodedPattern) -> str:
-        return " ".join(
-            f"?{slot}" if isinstance(slot, str) else self._decode_id(slot)
-            for slot in (pattern.subject, pattern.predicate, pattern.object)
-        )
 
     def _encode_term(self, term: Term) -> int:
         """Encode a computed term, interning it if new (like Oracle's

@@ -370,6 +370,33 @@ class TestPipelineMatchesEvaluatorOnForms:
         # whichever end the plan walked from.
         "SELECT * WHERE { ?x ^<http://ex/knows> ?y . "
         "?y ^(<http://ex/knows>/<http://ex/name>) ?z }",
+        # A flush that runs empty before its path step still binds every
+        # variable: through a constant absent from the store (no ex:r
+        # here), and through constants that match nothing together.
+        "SELECT * WHERE { ?y <http://ex/r> ?w . ?x (<http://ex/knows>)+ ?y }",
+        "SELECT * WHERE { ?y <http://ex/age> <http://ex/bob> . "
+        "?x (<http://ex/knows>)+ ?y }",
+        "SELECT * WHERE { ?x <http://ex/knows> ?y "
+        "FILTER (?a = <http://ex/nobody>) FILTER (?b = <http://ex/alice>) }",
+        "SELECT * WHERE { ?x <http://ex/age> ?a "
+        "GRAPH <http://ex/nograph> { ?x <http://ex/likes> ?y } }",
+        # An absent constant empties only its own flush, and never reads
+        # as "unbound": OPTIONAL keeps the left rows, the other UNION
+        # branch answers, MINUS removes nothing, and a BIND-made IRI the
+        # store lacks matches no pattern under NOT EXISTS.
+        "SELECT * WHERE { ?x <http://ex/age> ?a OPTIONAL { ?x <http://ex/knows> "
+        "?y . ?y <http://ex/likes> <http://ex/nobody> } }",
+        "SELECT ?x ?y WHERE { { ?x <http://ex/knows> <http://ex/nobody> } "
+        "UNION { ?x <http://ex/knows> ?y } }",
+        "SELECT ?x ?y WHERE { ?x <http://ex/knows> ?y "
+        "MINUS { ?x <http://ex/likes> <http://ex/nobody> } }",
+        "SELECT ?x ?z WHERE { ?x <http://ex/name> ?n "
+        'BIND (IRI(CONCAT("http://ex/made-", STR(?n))) AS ?z) '
+        "FILTER NOT EXISTS { ?z <http://ex/knows> ?o } }",
+        # The filter's constant is absent when the run starts; the BIND
+        # before it interns an equal term.
+        "SELECT ?v WHERE { BIND (<http://ex/bound-by-bind> AS ?v) "
+        "FILTER (?v = <http://ex/bound-by-bind>) }",
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
