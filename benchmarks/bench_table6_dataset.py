@@ -5,8 +5,7 @@ Paper (973 egos): 76,245 nodes; 1,796,085 edges; 1,218,763 node KVs;
 (dense graph), edge KVs > node KVs, follows >> knows.
 """
 
-from repro.bench.harness import scale_config
-from repro.bench.report import render_table
+from repro.bench.report import render_table, scale_config
 from repro.core import measure_property_graph
 from repro.datasets.twitter import generate_twitter
 

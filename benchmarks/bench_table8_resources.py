@@ -6,9 +6,10 @@ predicates, SP has 1,796,090 (4 + 1 + E); NG named graphs = E, SP 0;
 SP objects = NG objects + 2 (the labels in object position).
 """
 
-from repro.bench.harness import EXPERIMENT_MODELS
 from repro.bench.report import render_table
 from repro.core import measure_rdf
+
+from conftest import EXPERIMENT_MODELS
 
 
 def bench_table8_resource_counts(benchmark, ctx):

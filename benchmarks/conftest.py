@@ -5,29 +5,59 @@ The dataset scale is set with ``REPRO_SCALE`` (ego-network count,
 default 24; the paper used 973).  Results print paper-style tables so
 the run's output can be compared side by side with the paper — see
 EXPERIMENTS.md for the expected shapes.
-
-Every query benchmarked through :func:`run_eq` is also appended to a
-machine-readable ``BENCH_results.json`` at the repo root when the
-session finishes (format documented in EXPERIMENTS.md).  Override the
-path with ``REPRO_BENCH_RESULTS=/some/path.json``; set it to the empty
-string to skip writing entirely.  CI's overhead-guard job consumes
-this file to compare runs across commits.
 """
 
-import json
-import os
-import subprocess
-import time
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import pytest
 
-from repro.bench.harness import BenchContext, build_stores
+from repro.bench.report import scale_config
+from repro.core import MODEL_NG, MODEL_SP, PropertyGraphRdfStore
+from repro.datasets.twitter import connected_tag, generate_twitter, hub_vertex
 from repro.obs import QueryCollector
 from repro.obs import metrics as _obs
+from repro.propertygraph.model import PropertyGraph
 
-#: One entry per run_eq call, flushed by pytest_sessionfinish.
-_RESULTS: List[Dict] = []
+#: Models the paper's experiments compare (RF is dropped after §2.3).
+EXPERIMENT_MODELS = (MODEL_NG, MODEL_SP)
+
+
+@dataclass
+class BenchContext:
+    """Everything a benchmark needs: the graph, both stores, constants."""
+
+    graph: PropertyGraph
+    stores: Dict[str, PropertyGraphRdfStore]
+    tag: str
+    hub_iri: str
+    hub_id: int
+
+    @property
+    def ng(self) -> PropertyGraphRdfStore:
+        return self.stores[MODEL_NG]
+
+    @property
+    def sp(self) -> PropertyGraphRdfStore:
+        return self.stores[MODEL_SP]
+
+
+def build_stores() -> BenchContext:
+    """Build the Twitter graph at ``REPRO_SCALE`` and its NG/SP stores."""
+    graph = generate_twitter(scale_config())
+    stores: Dict[str, PropertyGraphRdfStore] = {}
+    for model in EXPERIMENT_MODELS:
+        store = PropertyGraphRdfStore(model=model)
+        store.load(graph)
+        stores[model] = store
+    hub = hub_vertex(graph)
+    return BenchContext(
+        graph=graph,
+        stores=stores,
+        tag=connected_tag(graph),
+        hub_iri=stores[MODEL_NG].vocabulary.vertex_iri(hub).value,
+        hub_id=hub,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -54,58 +84,5 @@ def run_eq(benchmark, store, query: str):
     collector = QueryCollector()
     with _obs.collect(collector):
         store.select(query)
-    counters = dict(collector.counters)
-    benchmark.extra_info["counters"] = counters
-    _RESULTS.append(_result_entry(benchmark, store, counters))
+    benchmark.extra_info["counters"] = dict(collector.counters)
     return result_holder["result"]
-
-
-def _result_entry(benchmark, store, counters: Dict) -> Dict:
-    """One BENCH_results.json entry (see EXPERIMENTS.md for the schema)."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    return {
-        "name": getattr(benchmark, "name", None),
-        "model": getattr(store, "model", None),
-        "median_seconds": getattr(stats, "median", None),
-        "min_seconds": getattr(stats, "min", None),
-        "rounds": getattr(stats, "rounds", None),
-        "counters": counters,
-    }
-
-
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else "unknown"
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write BENCH_results.json when any run_eq results were collected."""
-    if not _RESULTS:
-        return
-    target: Optional[str] = os.environ.get("REPRO_BENCH_RESULTS")
-    if target == "":
-        return  # explicitly disabled
-    if target is None:
-        target = os.path.join(str(session.config.rootpath),
-                              "BENCH_results.json")
-    document = {
-        "generated_at": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "git_sha": _git_sha(),
-        "scale": int(os.environ.get("REPRO_SCALE", "24")),
-        "results": list(_RESULTS),
-    }
-    with open(target, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")

@@ -14,8 +14,7 @@ Env:  REPRO_SCALE=<egos>  (default 24)
 import time
 
 from repro import PropertyGraphRdfStore
-from repro.bench.harness import scale_config
-from repro.bench.report import render_series
+from repro.bench.report import render_series, scale_config
 from repro.datasets.twitter import generate_twitter, hub_vertex
 from repro.propertygraph.traversal import Traversal, count_paths
 

@@ -10,8 +10,7 @@ Env:  REPRO_SCALE=<egos>  (default 24)
 """
 
 from repro import PropertyGraphRdfStore
-from repro.bench.harness import scale_config
-from repro.bench.report import render_table
+from repro.bench.report import render_table, scale_config
 from repro.core import measure_property_graph, predict_rdf
 from repro.datasets.twitter import generate_twitter, selective_tag
 

@@ -1,18 +1,2 @@
-"""Benchmark harness utilities shared by the ``benchmarks/`` suite."""
-
-from repro.bench.harness import (
-    BenchContext,
-    build_stores,
-    scale_config,
-    timed_query,
-)
-from repro.bench.report import render_series, render_table
-
-__all__ = [
-    "BenchContext",
-    "build_stores",
-    "scale_config",
-    "timed_query",
-    "render_table",
-    "render_series",
-]
+"""Dataset scale and paper-style reporting for the examples and the
+``benchmarks/`` reproduction of the paper's tables and figures."""

@@ -1,10 +1,18 @@
-"""Paper-style rendering of benchmark tables and figure series."""
+"""Dataset scale and paper-style rendering of tables and figure series."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+import os
+from typing import Dict, List, Sequence
 
-Number = Union[int, float]
+from repro.datasets.twitter import TwitterConfig
+
+
+def scale_config(seed: int = 42) -> TwitterConfig:
+    """The Twitter generator config at ``REPRO_SCALE`` ego networks
+    (default 24; the paper used 973)."""
+    egos = int(os.environ.get("REPRO_SCALE", "24"))
+    return TwitterConfig(egos=egos, seed=seed)
 
 
 def _format(value) -> str:

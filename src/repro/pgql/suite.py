@@ -3,8 +3,8 @@
 Unlike :class:`repro.core.queries.PgQueryBuilder`, which needs one
 SPARQL formulation per encoding, a single PGQL text serves every
 encoding — the compiler applies the Table 3 rules.  The differential
-suite and the ``pipeline_guard`` parity gate run these against the
-SPARQL formulations and assert identical multiset results.
+suite runs these against the SPARQL formulations and asserts identical
+multiset results and, for most queries, identical physical plans.
 """
 
 from __future__ import annotations

@@ -8,9 +8,18 @@ acquisition and (on a durable store) WAL append + fsync.
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
+from repro.core import PropertyGraphRdfStore
+from repro.datasets.twitter import (
+    TwitterConfig,
+    connected_tag,
+    generate_twitter,
+    hub_vertex,
+)
 from repro.obs import trace
 from repro.rdf import Quad
 from repro.sparql import SparqlEngine
@@ -63,6 +72,33 @@ class TestDisabledIsNoop:
     def test_untraced_engine_attaches_no_trace(self, social_engine):
         result = social_engine.select("SELECT ?n WHERE { ?x ex:name ?n }")
         assert result.stats is None or result.stats.trace is None
+
+    def test_untraced_queries_build_no_span(self, monkeypatch):
+        # The disabled tracer's cost as a count, not a timing: the
+        # Figure 5 queries build no span object at all.
+        built = []
+
+        class CountingSpan(trace.Span):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args[3])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "Span", CountingSpan)
+        graph = generate_twitter(TwitterConfig(egos=3, seed=7))
+        store = PropertyGraphRdfStore(model="NG")
+        store.load(graph)
+        hub_iri = store.vocabulary.vertex_iri(hub_vertex(graph)).value
+        queries = store.queries.experiment_queries(
+            connected_tag(graph), hub_iri
+        )
+        for name in ("EQ1", "EQ2", "EQ3", "EQ4"):
+            assert len(store.select(queries[name])) > 0, name
+        assert built == []
+        with trace.enabled():
+            store.select(queries["EQ1"])
+        assert "op.IndexScan" in built  # the counter does see spans
 
 
 class TestEngineTracing:
@@ -161,19 +197,50 @@ class TestDurableTracing:
 
     def test_traced_query_pins_snapshot_without_locks(self, tmp_path):
         # MVCC contract: queries pin a snapshot (one span, carrying the
-        # version) and never touch the store lock.
+        # version) and never touch the store lock — not even while
+        # writers hold it for a stream of commits.
         directory = os.path.join(str(tmp_path), "store")
         store = open_durable(directory)
         store.create_model("m")
         store.insert("m", Quad(ex("a"), ex("p"), ex("b")))
         engine = SparqlEngine(store, default_model="m", trace=True)
-        tree = engine.select(
-            "SELECT ?s WHERE { ?s <http://ex/p> ?o }"
-        ).stats.trace
+        query = "SELECT ?s WHERE { ?s <http://ex/p> ?o }"
+        tree = engine.select(query).stats.trace
         pins = tree.find("snapshot.pin")
         assert pins and pins[0].attributes["version"] == store.data_version
-        assert not tree.find("lock.read.acquire")
-        assert not tree.find("lock.write.acquire")
+
+        stop = threading.Event()
+
+        def writer(index):
+            n = 0
+            while not stop.is_set():
+                a, b = ex(f"w{index}"), ex(f"w{index}-{n}")
+                with store.write_batch():
+                    store.insert("m", Quad(a, ex("q"), b))
+                    store.insert("m", Quad(b, ex("q"), a))
+                n += 1
+
+        writers = [threading.Thread(target=writer, args=(i,)) for i in (0, 1)]
+        for thread in writers:
+            thread.start()
+        # Read until the reads have pinned ten different versions, which
+        # proves they ran between the writers' commits.
+        versions = set()
+        try:
+            deadline = time.monotonic() + 30
+            while len(versions) < 10 and time.monotonic() < deadline:
+                tree = engine.select(query).stats.trace
+                pin = tree.find("snapshot.pin")[0]
+                versions.add(pin.attributes["version"])
+                assert not [
+                    s for s in tree.spans if s.name.startswith("lock.")
+                ]
+        finally:
+            stop.set()
+            for thread in writers:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in writers)
+        assert len(versions) >= 10
         store.close()
 
     def test_traced_update_sees_write_lock_spans(self, tmp_path):

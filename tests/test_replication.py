@@ -389,6 +389,22 @@ class TestEndToEnd:
             follower.stop()
             f_net.close()
 
+    def test_late_follower_replays_backlog_without_resync(
+        self, tmp_path, leader_pair
+    ):
+        # No checkpoint: the whole backlog is still in the leader's WAL,
+        # so a cold follower catches up by replay, never by bootstrap.
+        leader_net, leader = leader_pair
+        for n in range(300):
+            leader_net.insert("m", quad(n))
+        f_net, follower = start_follower(tmp_path, leader)
+        try:
+            converge(leader_net, f_net, timeout=60.0)
+            assert follower.bootstraps == 0
+        finally:
+            follower.stop()
+            f_net.close()
+
     def test_follower_restart_resumes_from_durable_cursor(
         self, tmp_path, leader_pair
     ):
