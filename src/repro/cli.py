@@ -34,7 +34,7 @@ from repro.propertygraph import (
     from_relational,
 )
 from repro.rdf import parse_nquads, serialize_nquads
-from repro.sparql import SparqlEngine
+from repro.sparql import EvaluationError, SelectResult, SparqlEngine
 from repro.sparql.serialize import to_csv, to_json
 from repro.store import SemanticNetwork
 
@@ -126,24 +126,24 @@ def _read_query(args) -> str:
 
 
 def _cmd_query(args) -> int:
-    engine = _build_engine(args.data)
-    return _print_read(args, engine.select, engine.explain)
+    return _print_read(args, _build_engine(args.data), "sparql")
 
 
 def _cmd_pgql(args) -> int:
     engine = _build_engine(args.data, pgql_encoding=args.encoding)
-    return _print_read(args, engine.pgql, engine.explain_pgql_plan)
+    return _print_read(args, engine, "pgql")
 
 
-def _print_read(args, run, explain) -> int:
+def _print_read(args, engine: SparqlEngine, language: str) -> int:
     """``query`` and ``pgql``: print the plan (``--explain``) or run the
     query and print its rows as a table, JSON or CSV."""
     query = _read_query(args)
     if args.explain:
-        for line in explain(query):
-            print(line)
+        _print_explain(engine, query, language)
         return 0
-    result = run(query)
+    result = engine.query(query, language=language)
+    if not isinstance(result, SelectResult):
+        raise EvaluationError("not a SELECT query")
     if args.format == "json":
         print(to_json(result, indent=2))
     elif args.format == "csv":
@@ -169,12 +169,18 @@ def _cmd_explain(args) -> int:
         document["access_plan"] = engine.explain(query)
         print(json.dumps(document, indent=2))
         return 0
-    for line in engine.explain_plan(query):
+    _print_explain(engine, query, "sparql")
+    return 0
+
+
+def _print_explain(engine: SparqlEngine, query: str, language: str) -> None:
+    """The layer trees, then the Table 5 access plan, of the plan the
+    query runs."""
+    for line in engine.explain_plan(query, language=language):
         print(line)
     print("Access plan (Table 5):")
-    for line in engine.explain(query):
+    for line in engine.explain(query, language=language):
         print("  " + line)
-    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -428,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="table", choices=["table", "json", "csv"]
     )
     query.add_argument("--explain", action="store_true",
-                       help="print the access plan instead of running")
+                       help="print the plan (as `repro explain` does) "
+                       "instead of running")
     query.set_defaults(func=_cmd_query)
 
     pgql = sub.add_parser(
@@ -448,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pgql.add_argument(
         "--explain", action="store_true",
-        help="print the compiled logical/optimized/physical plans "
-        "instead of running",
+        help="print the plan (as `repro explain` does) instead of running",
     )
     pgql.set_defaults(func=_cmd_pgql)
 

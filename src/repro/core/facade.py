@@ -126,11 +126,6 @@ class PropertyGraphRdfStore:
         encoding (see ``docs/PGQL.md``)."""
         return self.engine.pgql(query, model=model)
 
-    def explain_pgql(
-        self, query: str, model: Optional[str] = None, format: str = "text"
-    ):
-        return self.engine.explain_pgql_plan(query, model=model, format=format)
-
     def update(self, update_text: str, model: Optional[str] = None) -> Dict[str, int]:
         if self.partitioned and model is None:
             raise ValueError(
@@ -143,8 +138,13 @@ class PropertyGraphRdfStore:
         query: str,
         model: Optional[str] = None,
         analyze: bool = False,
+        language: str = "sparql",
     ):
-        return self.engine.explain(query, model=model, analyze=analyze)
+        """The Table 5 access plan of a SPARQL or PGQL query (with
+        ``analyze=True``, the query run under EXPLAIN ANALYZE)."""
+        return self.engine.explain(
+            query, model=model, analyze=analyze, language=language
+        )
 
     def model_for_query_type(self, query_type: str) -> str:
         """Pick the Table 4 dataset for a query type.

@@ -387,12 +387,7 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
                 self._send_error(400, "missing query parameter")
                 return
             language = params.get("language", ["sparql"])[0]
-            explain = (
-                self.engine.explain_pgql_plan
-                if language == "pgql"
-                else self.engine.explain_plan
-            )
-            self._gated(self._send_explain, explain, query)
+            self._gated(self._send_explain, language, query)
             return
         if parsed.path not in ("/sparql", "/pgql"):
             self._send_error(404, "not found")
@@ -483,9 +478,9 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         except UnicodeDecodeError as exc:
             raise _HttpError(400, f"request body is not UTF-8: {exc}") from None
 
-    def _front_end(self, path: str):
-        """The engine entry point serving a read path."""
-        return self.engine.pgql if path == "/pgql" else self.engine.query
+    def _front_end(self, path: str) -> str:
+        """The query language a read path serves."""
+        return "pgql" if path == "/pgql" else "sparql"
 
     def _gated(self, handler, *args) -> None:
         """Run one request inside the in-flight gate (429 when full),
@@ -580,13 +575,14 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _run_read(self, run, query: str) -> None:
-        """/sparql and /pgql: one read contract, two front-ends (``run``
-        is ``engine.query`` or ``engine.pgql``)."""
+    def _run_read(self, language: str, query: str) -> None:
+        """/sparql and /pgql: one read contract, two front-ends."""
         if not self._await_min_version():
             return
         try:
-            result = run(query, timeout=self.query_timeout)
+            result = self.engine.query(
+                query, timeout=self.query_timeout, language=language
+            )
         except QueryTimeout as exc:
             self._send_timeout(exc)
             return
@@ -628,12 +624,12 @@ class SparqlRequestHandler(BaseHTTPRequestHandler):
         counts["data_version"] = self.engine.network.data_version
         self._send(200, "application/json", json.dumps(counts))
 
-    def _send_explain(self, explain, query: str) -> None:
-        """Compile (but do not run) a query; return the plan trees
-        (``explain`` is ``engine.explain_plan`` or
-        ``engine.explain_pgql_plan``)."""
+    def _send_explain(self, language: str, query: str) -> None:
+        """The plan trees of the plan a query runs (not run)."""
         try:
-            document = explain(query, format="json")
+            document = self.engine.explain_plan(
+                query, format="json", language=language
+            )
         except SparqlError as exc:
             self._send_error(400, str(exc))
             return

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import count
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from typing import Union as _TypingUnion
 
 from repro.rdf.terms import Term
@@ -69,7 +69,8 @@ from repro.sparql.ast import (
     pattern_variables,
 )
 from repro.sparql.errors import EvaluationError
-from repro.sparql.unparse import render_expr, render_triple
+from repro.sparql.expr import constant_equality
+from repro.sparql.unparse import render_expr, render_term, render_triple
 
 #: Prefix of the hop variables: the hops of a lowered path and PGQL's
 #: anonymous intermediate vertices.  ``#`` opens a comment in SPARQL and
@@ -409,6 +410,7 @@ def lower_group(
     start: Plan = Unit(),
     hops: Optional[Iterator[int]] = None,
     graph_var: bool = False,
+    pushdown: bool = True,
 ) -> Plan:
     """Lower one group to a plan chain, mirroring the reference fold.
 
@@ -420,14 +422,22 @@ def lower_group(
     pushable ones.  The fold starts from ``start`` (an EXISTS group
     starts from its seed row).  ``hops`` numbers the query's hop
     variables; ``graph_var`` marks a group under ``GRAPH ?var``, where
-    paths are not supported.
+    paths are not supported.  With ``pushdown`` (the optimizer's
+    ``filter_pushdown``), a ``FILTER (?v = <constant>)`` of the group
+    binds ``?v`` before its paths, so they walk from ``?v``.
     """
     plan: Plan = start
     bgp: List[TriplePattern] = []
     hops = count() if hops is None else hops
+    seeded = frozenset(
+        match[0]
+        for element in group.elements
+        if pushdown and isinstance(element, FilterPattern)
+        and (match := constant_equality(element.expression)) is not None
+    )
 
     def sub(inner: GroupPattern, inner_graph_var: bool = graph_var) -> Plan:
-        return lower_group(inner, Unit(), hops, inner_graph_var)
+        return lower_group(inner, Unit(), hops, inner_graph_var, pushdown)
 
     def flush() -> Plan:
         nonlocal plan, bgp
@@ -444,7 +454,7 @@ def lower_group(
                     raise EvaluationError(
                         "property paths inside GRAPH ?var are not supported"
                     )
-                plan = lower_path(plan, pattern, hops, fresh)
+                plan = lower_path(plan, pattern, hops, fresh, seeded)
                 fresh = False
         bgp = []
         return plan
@@ -470,7 +480,7 @@ def lower_group(
         elif isinstance(element, ValuesPattern):
             plan = Join(plan, Table(element.variables, element.rows))
         elif isinstance(element, SubSelectPattern):
-            plan = Join(plan, lower_select(element.query, hops))
+            plan = Join(plan, lower_select(element.query, hops, pushdown))
         elif isinstance(element, GroupPattern):
             plan = Join(plan, sub(element))
         else:
@@ -483,7 +493,11 @@ def lower_group(
 
 
 def lower_path(
-    plan: Plan, pattern: TriplePattern, hops: Iterator[int], fresh: bool
+    plan: Plan,
+    pattern: TriplePattern,
+    hops: Iterator[int],
+    fresh: bool,
+    seeded: FrozenSet[str] = frozenset(),
 ) -> Plan:
     """A property-path pattern as pattern steps (SPARQL 1.1 §18.2.2.4):
     ``^p`` swaps positions, ``p|q`` is a union of the branches and a
@@ -493,18 +507,22 @@ def lower_path(
     steps.  Union branches start from ``plan`` itself when it is a leaf
     (a seed row then reaches every branch) or when one has a closure
     (which walks from a bound end, zero-length paths included, like the
-    reference walker); otherwise the union is joined onto ``plan``."""
+    reference walker); otherwise the union is joined onto ``plan``.
+    A chain walks from a bound end, a ``seeded`` variable counting as
+    bound."""
     ends = (pattern.subject, pattern.object)
     branches = _path_steps(*ends[:1], pattern.predicate, *ends[1:], hops)
     if len(branches) == 1:
-        return _chain(plan, branches[0], fresh, hops, ends)
+        return _chain(plan, branches[0], fresh, hops, ends, seeded)
     if isinstance(plan, (Unit, Table)) or any(
         isinstance(step.predicate, PathRepeat) for b in branches for step in b
     ):
-        return Union(tuple(_chain(plan, b, fresh, hops, ends) for b in branches))
-    return Join(
-        plan, Union(tuple(_chain(Unit(), b, True, hops, ends) for b in branches))
-    )
+        return Union(tuple(
+            _chain(plan, b, fresh, hops, ends, seeded) for b in branches
+        ))
+    return Join(plan, Union(tuple(
+        _chain(Unit(), b, True, hops, ends, seeded) for b in branches
+    )))
 
 
 def _path_steps(s, path, o, hops: Iterator[int]) -> List[List[TriplePattern]]:
@@ -531,6 +549,7 @@ def _chain(
     fresh: bool,
     hops: Iterator[int],
     ends: Tuple[TermOrVar, TermOrVar],
+    seeded: FrozenSet[str],
 ) -> Plan:
     """One branch over ``plan``, walked from the end ``plan`` binds: runs
     of plain steps are BGPs, each closure step a BGP of its own."""
@@ -539,7 +558,15 @@ def _chain(
     def free(part) -> bool:
         return isinstance(part, str) and part not in bound
 
-    if free(steps[0].subject) and not free(steps[-1].object):
+    def anchored(step: TriplePattern) -> bool:
+        return not all(
+            free(part) and part not in seeded
+            for part in (step.subject, step.object)
+        )
+
+    # An inverse step swaps its ends, so the bound end of the path may
+    # sit in either position of the first or the last step.
+    if not anchored(steps[0]) and anchored(steps[-1]):
         steps = steps[::-1]
     for run in _runs(steps):
         filters = []
@@ -564,9 +591,13 @@ def _runs(steps: List[TriplePattern]) -> List[List[TriplePattern]]:
     return runs
 
 
-def lower_select(query: SelectQuery, hops: Optional[Iterator[int]] = None) -> Plan:
+def lower_select(
+    query: SelectQuery,
+    hops: Optional[Iterator[int]] = None,
+    pushdown: bool = True,
+) -> Plan:
     """Lower a SELECT (or subquery) to its full wrapper chain."""
-    plan = lower_group(query.where, hops=hops)
+    plan = lower_group(query.where, hops=hops, pushdown=pushdown)
     projections: Optional[Tuple[Projection, ...]] = (
         None if query.is_star() else query.projections
     )
@@ -611,20 +642,22 @@ def lower_select(query: SelectQuery, hops: Optional[Iterator[int]] = None) -> Pl
 # ----------------------------------------------------------------------
 
 
-def _label(plan: Plan) -> str:
+def _label(plan: Plan, params) -> str:
     if isinstance(plan, Unit):
         return "Unit"
     if isinstance(plan, BGP):
-        parts = [render_triple(p) for p in plan.patterns]
+        parts = [render_triple(p, params) for p in plan.patterns]
         label = f"BGP({'; '.join(parts)})"
         if plan.drop:
             label += " merge[%s]" % " ".join(sorted(plan.drop))
         if plan.seeds:
-            seeds = ", ".join(f"?{v}={t.n3()}" for v, t in plan.seeds)
+            seeds = ", ".join(
+                f"?{v}={render_term(t, params)}" for v, t in plan.seeds
+            )
             label += f" seeds[{seeds}]"
         if plan.filters:
             label += " filters[%s]" % ", ".join(
-                render_expr(f) for f in plan.filters
+                render_expr(f, params) for f in plan.filters
             )
         return label
     if isinstance(plan, Join):
@@ -637,11 +670,14 @@ def _label(plan: Plan) -> str:
         return "Union"
     if isinstance(plan, Graph):
         graph = (
-            f"?{plan.graph}" if isinstance(plan.graph, str) else plan.graph.n3()
+            f"?{plan.graph}"
+            if isinstance(plan.graph, str)
+            else render_term(plan.graph, params)
         )
         return f"Graph({graph})"
     if isinstance(plan, Filter):
-        return f"Filter({render_expr(plan.expression)}) [{plan.origin}]"
+        expression = render_expr(plan.expression, params)
+        return f"Filter({expression}) [{plan.origin}]"
     if isinstance(plan, Extend):
         return f"Extend(?{plan.var} := {render_expr(plan.expression)})"
     if isinstance(plan, Table):
@@ -672,12 +708,14 @@ def _label(plan: Plan) -> str:
     return type(plan).__name__
 
 
-def render(plan: Plan) -> str:
-    """Indented textual tree (root first)."""
+def render(plan: Plan, params: Sequence[Term] = ()) -> str:
+    """Indented textual tree (root first); ``params`` are a request's
+    values of the plan's lifted slots (their compile-time values when
+    empty)."""
     lines: List[str] = []
 
     def walk(node: Plan, depth: int) -> None:
-        lines.append("  " * depth + _label(node))
+        lines.append("  " * depth + _label(node, params))
         for child in children(node):
             walk(child, depth + 1)
 
@@ -685,10 +723,10 @@ def render(plan: Plan) -> str:
     return "\n".join(lines)
 
 
-def to_dict(plan: Plan) -> Dict:
+def to_dict(plan: Plan, params: Sequence[Term] = ()) -> Dict:
     """JSON-serializable plan tree (for ``repro explain --format=json``)."""
-    node: Dict = {"op": type(plan).__name__, "label": _label(plan)}
-    kids = [to_dict(child) for child in children(plan)]
+    node: Dict = {"op": type(plan).__name__, "label": _label(plan, params)}
+    kids = [to_dict(child, params) for child in children(plan)]
     if kids:
         node["children"] = kids
     return node

@@ -8,7 +8,7 @@ evaluator (:mod:`repro.testing.reference`) interprets it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.rdf.terms import Term
 
@@ -33,6 +33,12 @@ class Param:
 
     def n3(self) -> str:
         return self.term.n3()
+
+
+def bound(constant, params: Sequence[Term]):
+    """The term a request binds to ``constant``: a lifted
+    :class:`Param`'s value from ``params``, any other constant itself."""
+    return params[constant.index] if type(constant) is Param else constant
 
 
 # ----------------------------------------------------------------------

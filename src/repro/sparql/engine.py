@@ -10,19 +10,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional
 
 from repro.obs import ExplainAnalysis, QueryCollector, SlowQueryLog
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.rdf.quad import Triple
-from repro.sparql.ast import AskQuery, ConstructQuery, SelectQuery
 from repro.sparql import algebra as _algebra
 from repro.sparql.deadline import Deadline, deadline_for
 from repro.sparql.errors import EvaluationError, QueryTimeout
-from repro.sparql.executor import CompiledQuery, compile_query
-from repro.sparql.executor import execute as _execute_compiled
+from repro.sparql.executor import compile_query, execute
 from repro.sparql.parser import Parser
 from repro.sparql.physical import (
     access_plan,
@@ -32,6 +30,10 @@ from repro.sparql.physical import (
 from repro.sparql.plancache import PlanCache, lift, statistics_epoch
 from repro.sparql.results import SelectResult
 from repro.sparql.update import UpdateExecutor
+
+#: The context a read enters when nothing is traced or collected: one
+#: shared instance, so the untraced path allocates nothing for it.
+_UNTRACED = nullcontext()
 
 
 class PreparedQuery:
@@ -133,25 +135,12 @@ class SparqlEngine:
         text: str,
         model: Optional[str] = None,
         timeout: Optional[float] = None,
+        language: str = "sparql",
     ):
-        """Parse and run any query form (SELECT / ASK / CONSTRUCT)."""
-        if self._trace_wanted():
-            with _trace.tracing("query"):
-                return self._parse_and_run(text, model, timeout)
-        return self._parse_and_run(text, model, timeout)
-
-    def _parse_and_run(
-        self, text: str, model: Optional[str], timeout: Optional[float]
-    ):
-        # The snapshot is pinned before parsing: everything after this
-        # line — plan-cache lookup, compilation, execution — sees one
-        # immutable data_version, no matter what writers do meanwhile.
-        snapshot = self._pin_snapshot()
-        with _trace.span("parse"):
-            ast = self._parse_query(text)
-        return self.run_ast(
-            ast, model, text=text, timeout=timeout, snapshot=snapshot
-        )
+        """Parse and run any query form (SELECT / ASK / CONSTRUCT /
+        DESCRIBE); ``language`` names the front end, ``"sparql"`` or
+        ``"pgql"``."""
+        return self._read(text, model, timeout, language)
 
     def select(self, text: str, model: Optional[str] = None) -> SelectResult:
         result = self.query(text, model)
@@ -180,16 +169,11 @@ class SparqlEngine:
         timeout: Optional[float] = None,
         snapshot=None,
     ):
-        if self._trace_wanted():
-            with _trace.tracing("query"):
-                return self._run_ast(
-                    ast, model, collector, text, timeout, snapshot
-                )
-        return self._run_ast(ast, model, collector, text, timeout, snapshot)
-
-    # ------------------------------------------------------------------
-    # PGQL front-end
-    # ------------------------------------------------------------------
+        """Run a parsed SPARQL query, on ``snapshot`` when given."""
+        return self._read(
+            text, model, timeout, ast=ast, collector=collector,
+            snapshot=snapshot,
+        )
 
     def pgql(
         self,
@@ -202,37 +186,126 @@ class SparqlEngine:
 
         The query is parsed and lowered per the paper's Table 3 rules
         into the same AST the SPARQL parser produces, then runs through
-        the identical pinned-snapshot pipeline as :meth:`query` — plan
+        the same read path as :meth:`query` — pinned snapshot, plan
         cache (one entry per query shape, shared with SPARQL queries of
-        the same shape), optimizer, EXPLAIN/trace and batched execution
-        included.
+        the same shape), EXPLAIN/trace and batched execution included.
         """
-        if self._trace_wanted():
-            with _trace.tracing("query"):
-                return self._pgql_parse_and_run(text, model, timeout, encoding)
-        return self._pgql_parse_and_run(text, model, timeout, encoding)
+        return self._read(text, model, timeout, "pgql", encoding=encoding)
 
-    def _pgql_parse_and_run(
+    def _read(
         self,
-        text: str,
-        model: Optional[str],
-        timeout: Optional[float],
-        encoding: Optional[str],
+        text: Optional[str],
+        model: Optional[str] = None,
+        timeout: Optional[float] = None,
+        language: str = "sparql",
+        encoding: Optional[str] = None,
+        ast=None,
+        snapshot=None,
+        collector: Optional[QueryCollector] = None,
+        render: Optional[str] = None,
+        analyze: bool = False,
+        trace: bool = False,
     ):
-        # Same contract as _parse_and_run: pin the snapshot before
-        # translation so the whole request sees one data_version.
-        snapshot = self._pin_snapshot()
-        ast, label = self._pgql_translate(text, encoding)
-        return self.run_ast(
-            ast, model, text=label, timeout=timeout, snapshot=snapshot
-        )
+        """The one read path: every query, run and EXPLAIN enters here.
 
-    def _pgql_translate(self, text: str, encoding: Optional[str]):
-        """Parse + compile PGQL text; returns ``(sparql_ast, label)``.
+        Opens a trace if one is wanted, pins the snapshot, runs the
+        front end ``language`` names (unless ``ast`` is given) and
+        fetches or compiles the plan (:meth:`_compiled_for`).  Then it
+        either renders that plan with this request's constants
+        (``render``: ``"access"``, ``"text"`` or ``"json"``) or executes
+        it; ``analyze`` returns an :class:`ExplainAnalysis` of the run.
 
-        ``label`` is the text with a ``pgql[<encoding>]`` prefix, so
-        slow-log/trace entries are recognisably PGQL.
+        No read lock is taken anywhere on this path: the snapshot's
+        copy-on-write arrays make it immune to concurrent writers, so
+        queries never wait behind updates (and vice versa).
         """
+        wanted = (trace or self.trace or _trace.is_enabled()) and (
+            not _trace.is_active()
+        )
+        with _trace.tracing("query") if wanted else _UNTRACED:
+            # Pinned before the front end: everything after this line
+            # sees one immutable data_version, whatever writers do.
+            if snapshot is None:
+                snapshot = self._pin_snapshot()
+            if ast is None:
+                ast, text = self._front_end(text, language, encoding)
+            model_name = self._model_name(model)
+            store_model = snapshot.model(model_name)
+            traced = _trace.is_active()
+            if collector is None and (analyze or self.collect_stats or traced):
+                # A trace implies a collector: the span tree rides back
+                # to the caller on ``result.stats``.
+                collector = QueryCollector()
+            observing = (
+                collector is not None
+                or self.slow_queries.enabled
+                or _obs.is_enabled()
+            )
+            start = time.perf_counter() if observing else None
+            deadline = deadline_for(
+                self.timeout if timeout is None else timeout
+            )
+            with _UNTRACED if collector is None else _obs.collect(collector):
+                compiled, params = self._compiled_for(
+                    ast, model_name, store_model, language, snapshot
+                )
+                if render is not None:
+                    return self._render(
+                        render, compiled, params, language, store_model,
+                        snapshot,
+                    )
+                try:
+                    with _trace.span(
+                        "execute", form=type(ast).__name__
+                    ) if traced else _UNTRACED:
+                        result = execute(
+                            compiled, snapshot, store_model,
+                            collector=collector, deadline=deadline,
+                            batch_size=self.batch_size, params=params,
+                        )
+                except QueryTimeout:
+                    if _obs.is_enabled():
+                        _obs.registry().inc("query.timeouts")
+                    raise
+            if not observing:
+                return result
+            elapsed = time.perf_counter() - start
+            rows = _result_rows(result)
+            if _obs.is_enabled():
+                registry = _obs.registry()
+                registry.inc("query.count")
+                registry.observe("query.seconds", elapsed)
+            if self.slow_queries.enabled:
+                logged = self.slow_queries.record(
+                    text if text is not None else repr(ast), elapsed, rows
+                )
+                if logged and _obs.is_enabled():
+                    _obs.registry().inc("query.slow")
+            if collector is None:
+                return result
+            stats = collector.finish(elapsed, rows)
+            if traced:
+                stats.trace = _trace.current_trace()
+            if isinstance(result, SelectResult):
+                result.stats = stats
+            return ExplainAnalysis(stats, result) if analyze else result
+
+    def _front_end(
+        self, text: str, language: str, encoding: Optional[str] = None
+    ):
+        """Parse ``text`` in ``language``; returns ``(ast, label)``.
+
+        PGQL is lowered per Table 3 into a SPARQL AST; its ``label`` is
+        the text with a ``pgql[<encoding>]`` prefix, so slow-log and
+        trace entries are recognisably PGQL.
+        """
+        if language == "sparql":
+            with _trace.span("parse"):
+                return self._parse_query(text), text
+        if language != "pgql":
+            raise EvaluationError(
+                f"unknown query language {language!r}; use 'sparql' or 'pgql'"
+            )
         from repro.pgql import parse as _pgql_parse
 
         resolved = encoding if encoding is not None else self.pgql_encoding
@@ -258,136 +331,8 @@ class SparqlEngine:
             self._pgql_compilers[encoding] = compiler
         return compiler
 
-    def _run_ast(
-        self,
-        ast,
-        model: Optional[str],
-        collector: Optional[QueryCollector],
-        text: Optional[str],
-        timeout: Optional[float],
-        snapshot=None,
-    ):
-        limit = self.timeout if timeout is None else timeout
-        deadline = deadline_for(limit)
-        if snapshot is None:
-            snapshot = self._pin_snapshot()
-        try:
-            return self._run_ast_pinned(
-                ast, model, collector, text, deadline, snapshot
-            )
-        except QueryTimeout:
-            if _obs.is_enabled():
-                _obs.registry().inc("query.timeouts")
-            raise
-
-    def _run_ast_pinned(
-        self,
-        ast,
-        model: Optional[str],
-        collector: Optional[QueryCollector],
-        text: Optional[str],
-        deadline: Optional[Deadline],
-        snapshot,
-    ):
-        """Run one query entirely against a pinned MVCC snapshot.
-
-        No read lock is taken anywhere on this path: the snapshot's
-        copy-on-write arrays make it immune to concurrent writers, so
-        queries never wait behind updates (and vice versa).
-        """
-        model_name = self._model_name(model)
-        store_model = snapshot.model(model_name)
-        traced = _trace.is_active()
-        if collector is None and (self.collect_stats or traced):
-            # A trace implies a collector: the span tree rides back to
-            # the caller on ``result.stats``.
-            collector = QueryCollector()
-        observing = (
-            collector is not None
-            or self.slow_queries.enabled
-            or _obs.is_enabled()
-        )
-        if not observing:
-            return self._run_pipeline(
-                ast, model_name, store_model, text, None, deadline, traced,
-                snapshot,
-            )
-        start = time.perf_counter()
-        if collector is not None:
-            with _obs.collect(collector):
-                result = self._run_pipeline(
-                    ast, model_name, store_model, text, collector,
-                    deadline, traced, snapshot,
-                )
-        else:
-            result = self._run_pipeline(
-                ast, model_name, store_model, text, None, deadline, traced,
-                snapshot,
-            )
-        elapsed = time.perf_counter() - start
-        rows = _result_rows(result)
-        if _obs.is_enabled():
-            registry = _obs.registry()
-            registry.inc("query.count")
-            registry.observe("query.seconds", elapsed)
-        if self.slow_queries.enabled:
-            logged = self.slow_queries.record(
-                text if text is not None else repr(ast), elapsed, rows
-            )
-            if logged and _obs.is_enabled():
-                _obs.registry().inc("query.slow")
-        if collector is not None and isinstance(result, SelectResult):
-            result.stats = collector.finish(elapsed, rows)
-            if traced:
-                result.stats.trace = _trace.current_trace()
-        return result
-
-    def _run_pipeline(
-        self,
-        ast,
-        model_name: str,
-        store_model,
-        text: Optional[str],
-        collector: Optional[QueryCollector],
-        deadline: Optional[Deadline],
-        traced: bool,
-        snapshot,
-    ):
-        """Fetch-or-compile a plan, then run it through the executor."""
-        compiled, params = self._compiled_for(
-            ast, model_name, store_model, text, snapshot
-        )
-        if traced:
-            with _trace.span("execute", form=type(ast).__name__):
-                return self._execute(
-                    compiled, params, snapshot, store_model, collector,
-                    deadline,
-                )
-        return self._execute(
-            compiled, params, snapshot, store_model, collector, deadline
-        )
-
-    def _execute(
-        self,
-        compiled: CompiledQuery,
-        params,
-        snapshot,
-        store_model,
-        collector: Optional[QueryCollector],
-        deadline: Optional[Deadline],
-    ):
-        return _execute_compiled(
-            compiled,
-            snapshot,
-            store_model,
-            collector=collector,
-            deadline=deadline,
-            batch_size=self.batch_size,
-            params=params,
-        )
-
     def _compiled_for(
-        self, ast, model_name: str, store_model, text: Optional[str], snapshot
+        self, ast, model_name: str, store_model, language: str, snapshot
     ):
         """Plan-cache fetch, falling back to a fresh compile; returns
         ``(compiled, params)``.
@@ -421,11 +366,7 @@ class SparqlEngine:
                 model_name,
                 union_default_graph=self._union_default,
                 filter_pushdown=self._filter_pushdown,
-                language=(
-                    "pgql"
-                    if text is not None and text.startswith("pgql[")
-                    else "sparql"
-                ),
+                language=language,
             )
             evicted = self.plan_cache.put(key, epoch, compiled)
             if evicted:
@@ -444,18 +385,18 @@ class SparqlEngine:
         pin = getattr(network, "snapshot", None)
         if pin is None:  # plain duck-typed stores without MVCC
             return network
-        snapshot = pin()
+        if _trace.is_active():
+            with _trace.span("snapshot.pin") as pin_span:
+                snapshot = pin()
+                pin_span.set("version", snapshot.data_version)
+        else:
+            snapshot = pin()
         if _obs.is_enabled():
             registry = _obs.registry()
             registry.set_gauge("snapshot.age", snapshot.age())
             registry.set_gauge(
                 "snapshot.versions_live", network.live_snapshot_count()
             )
-        if _trace.is_active():
-            with _trace.span(
-                "snapshot.pin", version=snapshot.data_version
-            ):
-                pass
         return snapshot
 
     # ------------------------------------------------------------------
@@ -557,141 +498,79 @@ class SparqlEngine:
         model: Optional[str] = None,
         analyze: bool = False,
         trace: bool = False,
+        language: str = "sparql",
     ):
-        """Access plan of the compiled query (Table 5 style).
+        """Access plan of the query (Table 5 style).
 
-        One line per triple-pattern and path step of the physical plan
-        the query runs, in execution order: the pattern, its bound
-        positions, the chosen semantic network index, scan kind and
-        join method.
+        One line per triple-pattern and path step of the plan the query
+        runs — the plan cached for its shape, compiled now on a miss —
+        in execution order, with this text's constants: the pattern,
+        its bound positions, the chosen semantic network index, scan
+        kind and join method.
 
         With ``analyze=True`` the query is *executed* and an
         :class:`repro.obs.ExplainAnalysis` is returned instead, each
         step annotated with actual rows, index scan counts and wall
-        time next to the planner's estimates (EXPLAIN ANALYZE).
+        time next to the planner's estimates (EXPLAIN ANALYZE); with
+        ``trace=True`` it also carries the span tree.
         """
         if analyze:
-            return self.explain_analyze(text, model, trace=trace)
-        ast = self._parse_query(text)
-        if not isinstance(ast, (SelectQuery, AskQuery, ConstructQuery)):
-            raise EvaluationError("cannot explain this form")
-        compiled, store_model = self._compile_live(ast, model, "sparql")
-        return access_plan(
-            compiled.root, store_model, self.network.lookup_term
-        )
-
-    def explain_analyze(
-        self,
-        text: str,
-        model: Optional[str] = None,
-        trace: bool = False,
-    ) -> ExplainAnalysis:
-        """Execute the query and report per-operator actuals.
-
-        With ``trace=True`` (or tracing enabled/already active) the
-        analysis also carries the span tree: ``analysis.trace`` and an
-        indented rendering appended to ``analysis.lines``.
-        """
-        if (trace or self._trace_wanted()) and not _trace.is_active():
-            with _trace.tracing("query") as span_tree:
-                analysis = self._explain_analyze(text, model)
-            analysis.stats.trace = span_tree
-            return analysis
-        return self._explain_analyze(text, model)
-
-    def _explain_analyze(
-        self, text: str, model: Optional[str]
-    ) -> ExplainAnalysis:
-        with _trace.span("parse"):
-            ast = self._parse_query(text)
-        collector = QueryCollector()
-        start = time.perf_counter()
-        result = self.run_ast(ast, model, collector=collector, text=text)
-        elapsed = time.perf_counter() - start
-        stats = collector.finish(elapsed, _result_rows(result))
-        if _trace.is_active():
-            stats.trace = _trace.current_trace()
-        return ExplainAnalysis(stats, result)
+            return self._read(text, model, None, language, analyze=True,
+                              trace=trace)
+        return self._read(text, model, None, language, render="access")
 
     def explain_plan(
         self,
         text: str,
         model: Optional[str] = None,
         format: str = "text",
+        language: str = "sparql",
     ):
         """Pipeline plan description: logical, optimized and physical.
 
-        Compiles the query through the full layered pipeline without
-        running it.  ``format="text"`` returns indented tree lines (the
-        shape ``repro explain`` prints); ``format="json"`` returns a
+        The plan is the one :meth:`explain` reads, not run.
+        ``format="text"`` returns indented tree lines (the shape
+        ``repro explain`` prints); ``format="json"`` returns a
         JSON-ready dict with ``logical``, ``optimized`` and
         ``physical`` plan trees.
         """
-        ast = self._parse_query(text)
-        return self._explain_plan_ast(ast, model, format, "sparql")
-
-    def explain_pgql_plan(
-        self,
-        text: str,
-        model: Optional[str] = None,
-        format: str = "text",
-        encoding: Optional[str] = None,
-    ):
-        """:meth:`explain_plan` for a PGQL query: compiles the MATCH
-        through the Table 3 lowering and the shared pipeline without
-        running it."""
-        ast, _ = self._pgql_translate(text, encoding)
-        return self._explain_plan_ast(ast, model, format, "pgql")
-
-    def _compile_live(self, ast, model: Optional[str], language: str):
-        """Compile against the live network (EXPLAIN: nothing runs);
-        returns ``(compiled, store_model)``."""
-        model_name = self._model_name(model)
-        store_model = self.network.model(model_name)
-        compiled = compile_query(
-            ast,
-            self.network,
-            store_model,
-            model_name,
-            union_default_graph=self._union_default,
-            filter_pushdown=self._filter_pushdown,
-            language=language,
-        )
-        return compiled, store_model
-
-    def _explain_plan_ast(
-        self, ast, model: Optional[str], format: str, language: str
-    ):
         if format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
-        compiled, _ = self._compile_live(ast, model, language)
-        if format == "json":
+        return self._read(text, model, None, language, render=format)
+
+    def _render(
+        self, render: str, compiled, params, language: str, store_model,
+        snapshot,
+    ):
+        terms = compiled.root.constants.bind(params)
+        if render == "access":
+            return access_plan(
+                compiled.root, store_model, snapshot.lookup_term, terms
+            )
+        if render == "json":
             return {
                 "form": compiled.form,
-                "language": compiled.language,
+                "language": language,
                 "model": compiled.model_name,
                 "variables": list(compiled.variables),
                 "batch_size": self.batch_size,
-                "logical": _algebra.to_dict(compiled.logical),
-                "optimized": _algebra.to_dict(compiled.optimized),
-                "physical": physical_to_dict(compiled.root),
+                "logical": _algebra.to_dict(compiled.logical, params),
+                "optimized": _algebra.to_dict(compiled.optimized, params),
+                "physical": physical_to_dict(compiled.root, terms),
             }
         lines: List[str] = [f"Query form: {compiled.form}"]
         if language != "sparql":
             lines.append(f"Query language: {language}")
-        lines.append("Logical plan:")
-        lines.extend(
-            "  " + line for line in _algebra.render(compiled.logical).splitlines()
-        )
-        lines.append("Optimized plan:")
-        lines.extend(
-            "  " + line
-            for line in _algebra.render(compiled.optimized).splitlines()
-        )
-        lines.append(f"Physical plan (batch={self.batch_size}):")
-        lines.extend(
-            "  " + line for line in render_physical(compiled.root).splitlines()
-        )
+        for title, tree in (
+            ("Logical plan:", _algebra.render(compiled.logical, params)),
+            ("Optimized plan:", _algebra.render(compiled.optimized, params)),
+            (
+                f"Physical plan (batch={self.batch_size}):",
+                render_physical(compiled.root, terms),
+            ),
+        ):
+            lines.append(title)
+            lines.extend("  " + line for line in tree.splitlines())
         return lines
 
     # ------------------------------------------------------------------

@@ -103,17 +103,17 @@ def compile_query(
 ) -> CompiledQuery:
     if isinstance(ast, SelectQuery):
         form = "select"
-        logical = A.lower_select(ast)
+        logical = A.lower_select(ast, pushdown=filter_pushdown)
     elif isinstance(ast, AskQuery):
         form = "ask"
-        logical = A.lower_group(ast.where)
+        logical = A.lower_group(ast.where, pushdown=filter_pushdown)
     elif isinstance(ast, ConstructQuery):
         form = "construct"
-        logical = A.lower_group(ast.where)
+        logical = A.lower_group(ast.where, pushdown=filter_pushdown)
     elif isinstance(ast, DescribeQuery):
         form = "describe"
         where = ast.where if ast.where is not None else GroupPattern(())
-        logical = A.lower_group(where)
+        logical = A.lower_group(where, pushdown=filter_pushdown)
     else:
         raise EvaluationError(f"unsupported query form {type(ast).__name__}")
     optimized = optimize(

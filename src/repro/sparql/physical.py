@@ -99,6 +99,7 @@ from repro.sparql.ast import (
     TermExpr,
     TriplePattern,
     VarExpr,
+    bound,
     contains_aggregate,
     pattern_variables,
 )
@@ -176,6 +177,11 @@ class Constants:
             self.terms.append(constant)
         return slot
 
+    def bind(self, params: Sequence[Term]) -> List:
+        """Each slot's term for one request (:func:`bound`): what a run
+        resolves and what EXPLAIN renders."""
+        return [bound(constant, params) for constant in self.terms]
+
 
 class ExecContext:
     """Everything the operators need at run time.
@@ -204,10 +210,7 @@ class ExecContext:
         #: slot's from ``params``), and its term ID (``None`` when absent
         #: from the store): one lookup pass per run, against the
         #: snapshot this run reads.
-        self.terms = [
-            params[c.index] if type(c) is Param else c
-            for c in constants.terms
-        ]
+        self.terms = constants.bind(params)
         self.ids = list(map(self.values.lookup, self.terms))
         constants.frozen = True
         self.collector = collector
@@ -1767,16 +1770,20 @@ class AggregateOp(PhysicalOp):
 # ----------------------------------------------------------------------
 
 
-def op_label(op: PhysicalOp) -> str:
-    return f"{op.name}({op.detail})" if op.detail else op.name
+def op_label(op: PhysicalOp, terms: Optional[Sequence] = None) -> str:
+    """``Name(detail)``, the detail's constants from ``terms`` (a
+    request's :meth:`Constants.bind`; the compile-time table's when
+    None)."""
+    detail = op.detail if terms is None else op.label(terms)
+    return f"{op.name}({detail})" if detail else op.name
 
 
-def render_physical(op: PhysicalOp) -> str:
+def render_physical(op: PhysicalOp, terms: Optional[Sequence] = None) -> str:
     """Indented textual tree of the physical plan (root first)."""
     lines: List[str] = []
 
     def walk(node: PhysicalOp, depth: int) -> None:
-        lines.append("  " * depth + op_label(node))
+        lines.append("  " * depth + op_label(node, terms))
         for child in node.children():
             walk(child, depth + 1)
 
@@ -1784,11 +1791,11 @@ def render_physical(op: PhysicalOp) -> str:
     return "\n".join(lines)
 
 
-def physical_to_dict(op: PhysicalOp) -> Dict:
-    node: Dict = {"op": op.name, "label": op_label(op)}
+def physical_to_dict(op: PhysicalOp, terms: Optional[Sequence] = None) -> Dict:
+    node: Dict = {"op": op.name, "label": op_label(op, terms)}
     if op.schema:
         node["schema"] = list(op.schema)
-    kids = [physical_to_dict(child) for child in op.children()]
+    kids = [physical_to_dict(child, terms) for child in op.children()]
     if kids:
         node["children"] = kids
     return node
@@ -1802,17 +1809,21 @@ def execution_order(op: PhysicalOp) -> Iterator[PhysicalOp]:
     yield op
 
 
-def access_plan(root: PhysicalOp, model, lookup) -> List[str]:
+def access_plan(
+    root: PhysicalOp, model, lookup, terms: Optional[Sequence] = None
+) -> List[str]:
     """The Table 5 access plan of a compiled plan: one line per pattern
     and path step, in execution order.
 
     Bound positions and the index come from each step's probe layout
     (what the nested-loop probe binds per input row); the join method
     is the planner's static NLJ-vs-hash decision on estimated input
-    rows.  ``lookup`` resolves the plan's constants to their
-    first-seen values for the index statistics.
+    rows.  ``terms`` are a request's constants (:meth:`Constants.bind`;
+    the compile-time table when None), which ``lookup`` resolves for
+    the index statistics.
     """
-    terms = root.constants.terms
+    if terms is None:
+        terms = root.constants.terms
     ids = [_seen_id(constant, lookup) for constant in terms]
     lines: List[str] = []
     rows = 1
@@ -1833,7 +1844,7 @@ def access_plan(root: PhysicalOp, model, lookup) -> List[str]:
         rows = max(rows, estimate)
         scan_kind = "index range scan" if prefix_length else "full index scan"
         lines.append(
-            f"{step}: {op.detail}  [{op.bound(terms)}] "
+            f"{step}: {op.label(terms)}  [{op.bound(terms)}] "
             f"{index.spec}M ({scan_kind}, {method})"
         )
     return lines
@@ -2194,7 +2205,10 @@ class Compiler:
         start = A.Table(names, ())
         root = self.compile(
             optimize(
-                A.lower_group(group, start, graph_var=isinstance(graph, str)),
+                A.lower_group(
+                    group, start, graph_var=isinstance(graph, str),
+                    pushdown=self._filter_pushdown,
+                ),
                 filter_pushdown=self._filter_pushdown,
             ),
             graph,

@@ -46,6 +46,7 @@ from repro.sparql.ast import (
     UnionPattern,
     ValuesPattern,
     VarExpr,
+    bound,
 )
 
 
@@ -159,25 +160,30 @@ def _group(group: GroupPattern) -> str:
     return "{ " + " ".join(elements) + " }"
 
 
-def _triple(pattern: TriplePattern) -> str:
+def _triple(pattern: TriplePattern, params=()) -> str:
     predicate = pattern.predicate
     if pattern.predicate_is_path():
         predicate_text = _path(predicate)
     else:
         predicate_text = _term_or_var(predicate)
     return (
-        f"{_term_or_var(pattern.subject)} {predicate_text} "
-        f"{_term_or_var(pattern.object)}"
+        f"{_term_or_var(pattern.subject, params)} {predicate_text} "
+        f"{_term_or_var(pattern.object, params)}"
     )
 
 
-def _term_or_var(part) -> str:
+def _term_or_var(part, params=()) -> str:
     if isinstance(part, str):
         if part.startswith("_:"):
             return part
         return f"?{part}"
     assert isinstance(part, (Term, Param))
-    return part.n3()
+    return _term(part, params)
+
+
+def _term(constant, params=()) -> str:
+    """A constant's N3; a lifted slot's value from ``params`` if given."""
+    return (bound(constant, params) if params else constant).n3()
 
 
 def _path(path: Path) -> str:
@@ -210,11 +216,13 @@ def _path_primary(path: Path) -> str:
     return text
 
 
-def _expr(expression: Expression) -> str:
+def _expr(expression: Expression, params=()) -> str:
+    # ``params``: a lifted slot is only ever a side of a top-level
+    # ``?v = <constant>`` comparison (repro.sparql.plancache.lift).
     if isinstance(expression, VarExpr):
         return f"?{expression.name}"
     if isinstance(expression, TermExpr):
-        return expression.term.n3()
+        return _term(expression.term, params)
     if isinstance(expression, OrExpr):
         return " || ".join(f"({_expr(e)})" for e in expression.operands)
     if isinstance(expression, AndExpr):
@@ -225,8 +233,8 @@ def _expr(expression: Expression) -> str:
         return f"-({_expr(expression.operand)})"
     if isinstance(expression, CompareExpr):
         return (
-            f"({_expr(expression.left)}) {expression.op} "
-            f"({_expr(expression.right)})"
+            f"({_expr(expression.left, params)}) {expression.op} "
+            f"({_expr(expression.right, params)})"
         )
     if isinstance(expression, ArithmeticExpr):
         return (
@@ -260,3 +268,4 @@ def _expr(expression: Expression) -> str:
 # Public aliases: EXPLAIN ANALYZE labels operators with query fragments.
 render_triple = _triple
 render_expr = _expr
+render_term = _term

@@ -141,7 +141,9 @@ class UpdateExecutor:
             if isinstance(part, str)
         )
         plan = optimize(
-            A.lower_group(operation.where),
+            A.lower_group(
+                operation.where, pushdown=self._filter_pushdown
+            ),
             filter_pushdown=self._filter_pushdown,
             protected=templated,
         )

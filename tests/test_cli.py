@@ -88,6 +88,14 @@ class TestQuery:
               "-q", "SELECT ?s WHERE { ?s r:follows ?o }"])
         assert "index" in capsys.readouterr().out
 
+    def test_pgql_explain_prints_the_access_plan(self, nquads, capsys):
+        main(["pgql", nquads, "--explain",
+              "-q", "MATCH (n)-[e:follows]->(m) RETURN m"])
+        out = capsys.readouterr().out
+        assert "Query language: pgql" in out
+        assert out.index("Physical plan") < out.index("Access plan (Table 5):")
+        assert "\n  1: ?n <http://pg/r/follows> ?m" in out
+
     def test_query_requires_text(self, nquads):
         with pytest.raises(SystemExit):
             main(["query", nquads])

@@ -571,6 +571,29 @@ class TestRandomPathsMatchWalkerAndReference:
         assert got == walked
 
 
+class TestPathsWalkFromTheBoundEnd:
+    """A lowered path walks from its bound end, as the reference walker
+    does: a zero-length closure step with both ends free would only see
+    the nodes of its own links.  The bound end may sit in the last step
+    behind an inverse, or be bound by a sargable FILTER."""
+
+    @pytest.mark.parametrize("query", [
+        "SELECT ?s WHERE { ?s (<http://ex/q>)*/^<http://ex/p> <http://ex/a> }",
+        "SELECT ?s ?o WHERE { ?s (<http://ex/q>)*/<http://ex/p> ?o "
+        "FILTER (?o = <http://ex/a>) }",
+        "SELECT ?s WHERE { VALUES ?o { <http://ex/a> } "
+        "?s ^((<http://ex/p>)*/(<http://ex/p>)*) ?o }",
+    ])
+    def test_matches_the_reference(self, query):
+        network = SemanticNetwork()
+        network.create_model("m")
+        a, p = IRI("http://ex/a"), IRI("http://ex/p")
+        network.bulk_load("m", [Quad(a, p, a)])
+        engine = SparqlEngine(network, default_model="m")
+        assert engine.select(query).rows
+        assert_same(engine, query)
+
+
 # ----------------------------------------------------------------------
 # Batch-boundary differentials
 # ----------------------------------------------------------------------

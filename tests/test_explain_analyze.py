@@ -90,6 +90,14 @@ class TestAnalysisOutput:
         assert isinstance(plan, list)
         assert all(isinstance(line, str) for line in plan)
 
+    def test_every_query_form_explains(self):
+        engine = chain_engine(8)
+        describe = "DESCRIBE ?x WHERE { ?x ex:p1 ?y }"
+        plan = engine.explain(describe)
+        assert len(plan) == 1 and "<http://ex/p1>" in plan[0]
+        analysis = engine.explain(describe, analyze=True)
+        assert len(analysis.result) == len(engine.query(describe)) > 0
+
     def test_analyze_does_not_change_results(self):
         engine = chain_engine(32)
         direct = engine.select(TWO_HOP)

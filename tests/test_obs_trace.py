@@ -134,6 +134,20 @@ class TestEngineTracing:
         result = social_engine.select("SELECT ?n WHERE { ?x ex:name ?n }")
         assert result.stats is None or result.stats.trace is None
 
+    def test_pin_span_times_the_pin(self, social_engine, monkeypatch):
+        network = social_engine.network
+        pin = network.snapshot
+
+        def slow_pin():
+            time.sleep(0.005)
+            return pin()
+
+        monkeypatch.setattr(network, "snapshot", slow_pin)
+        engine = SparqlEngine(network, default_model="social", trace=True)
+        tree = engine.select("SELECT ?s WHERE { ?s ?p ?o }").stats.trace
+        (span,) = tree.find("snapshot.pin")
+        assert span.duration >= 0.005
+
     def test_explain_analyze_trace_lines(self, social_engine):
         analysis = social_engine.explain(
             "SELECT ?n WHERE { ?x ex:name ?n }", analyze=True, trace=True

@@ -48,13 +48,17 @@ def ng_setup():
     return store, suite
 
 
+def _explain(store, query):
+    return "\n".join(store.engine.explain_plan(query, language="pgql"))
+
+
 class TestGoldenPgqlExplainSnapshots:
     def test_every_pgql_query_matches_its_snapshot(self, ng_setup):
         store, suite = ng_setup
         update = bool(os.environ.get("UPDATE_GOLDEN"))
         mismatches = []
         for name, query in sorted(suite.items()):
-            text = "\n".join(store.engine.explain_pgql_plan(query)) + "\n"
+            text = _explain(store, query) + "\n"
             path = GOLDEN_DIR / f"pgql_{name}.txt"
             if update:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -78,7 +82,7 @@ class TestGoldenPgqlExplainSnapshots:
 
     def test_snapshots_label_the_language(self, ng_setup):
         store, suite = ng_setup
-        text = "\n".join(store.engine.explain_pgql_plan(suite["EQ1"]))
+        text = _explain(store, suite["EQ1"])
         assert "Query language: pgql" in text
 
     def test_id_equality_compiles_to_a_seeded_scan(self, ng_setup):
@@ -86,14 +90,14 @@ class TestGoldenPgqlExplainSnapshots:
         term — the snapshot shows the constant seeded into the scan
         rather than a post-hoc filter."""
         store, suite = ng_setup
-        text = "\n".join(store.engine.explain_pgql_plan(suite["EQ11a"]))
+        text = _explain(store, suite["EQ11a"])
         assert "Seed(?n = " in text
         physical = text.split("Physical plan", 1)[-1]
         assert "Filter(" not in physical
 
     def test_order_by_limit_fuses_into_topk(self, ng_setup):
         store, suite = ng_setup
-        text = "\n".join(store.engine.explain_pgql_plan(suite["EQ9_topk"]))
+        text = _explain(store, suite["EQ9_topk"])
         assert "top=" in text
-        unbounded = "\n".join(store.engine.explain_pgql_plan(suite["EQ9"]))
+        unbounded = _explain(store, suite["EQ9"])
         assert "top=" not in unbounded

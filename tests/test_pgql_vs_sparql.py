@@ -121,7 +121,7 @@ class TestDifferentialEquivalence:
         )[name]
         pgql = pgql_experiment_queries(tag, hub)[name]
         assert _physical_shape(
-            store.engine.explain_pgql_plan(pgql)
+            store.engine.explain_plan(pgql, language="pgql")
         ) == _physical_shape(store.engine.explain_plan(sparql))
 
     def test_the_same_pgql_text_serves_every_encoding(self, dataset):
@@ -176,9 +176,11 @@ class TestPipelineIntegration:
 
     def test_explain_reports_the_query_language(self, store, suites):
         _, pgql = suites
-        lines = store.engine.explain_pgql_plan(pgql["EQ1"])
+        lines = store.engine.explain_plan(pgql["EQ1"], language="pgql")
         assert "Query language: pgql" in lines
-        document = store.engine.explain_pgql_plan(pgql["EQ1"], format="json")
+        document = store.engine.explain_plan(
+            pgql["EQ1"], format="json", language="pgql"
+        )
         assert document["language"] == "pgql"
         assert document["form"] == "select"
 

@@ -169,7 +169,7 @@ def fresh_and_reference(store, shape, constant):
     engine = store.engine
     text = shape.text(constant)
     if shape.lang == "pgql":
-        ast = engine._pgql_translate(text, None)[0]
+        ast = engine._front_end(text, "pgql")[0]
     else:
         ast = engine._parse_query(text)
     snapshot = store.network.snapshot()
@@ -407,8 +407,8 @@ class TestExplainRendersBoundConstants:
         template = "SELECT ?k ?v WHERE {{ <{}> ?k ?v }}"
         store.engine.plan_cache.clear()
         store.select(template.format(vertex(1).value))
-        analysis = store.engine.explain_analyze(
-            template.format(vertex(2).value)
+        analysis = store.engine.explain(
+            template.format(vertex(2).value), analyze=True
         )
         assert analysis.stats.plan_cache()["hits"] == 1
         details = " ".join(step.detail for step in analysis.steps)

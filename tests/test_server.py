@@ -378,7 +378,7 @@ class _GateEngine:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def query(self, text, timeout=None):
+    def query(self, text, timeout=None, language="sparql"):
         self.started.set()
         assert self.release.wait(10)
         return True  # an ASK-shaped result

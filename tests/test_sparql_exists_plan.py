@@ -11,6 +11,7 @@ import pytest
 
 from repro.rdf import IRI, Quad
 from repro.sparql import SparqlEngine
+from repro.sparql.executor import compile_query
 from repro.sparql.physical import Compiler, FilterApplyOp, SeedColumnOp
 from repro.store import SemanticNetwork
 from repro.testing.reference import Evaluator
@@ -117,8 +118,12 @@ class TestExistsFollowsFilterPushdown:
     )
 
     def _sub_plan_ops(self, eng):
-        compiled, _ = eng._compile_live(
-            eng._parse_query(self.TEXT), None, "sparql"
+        compiled = compile_query(
+            eng._parse_query(self.TEXT),
+            eng.network,
+            eng.network.model("m"),
+            "m",
+            filter_pushdown=eng._filter_pushdown,
         )
         ops, stack = [], [compiled.root]
         while stack:

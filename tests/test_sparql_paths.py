@@ -250,7 +250,7 @@ class TestFivehopCounting:
             "WHERE id(n) = 0 RETURN COUNT(y) AS c"
         )
         engine = fan.engine
-        paths, rows = self._analyze(engine, engine._pgql_translate(text, None)[0])
+        paths, rows = self._analyze(engine, engine._front_end(text, "pgql")[0])
         assert paths == 1000
         assert rows and max(rows) <= 100
 
