@@ -2,7 +2,10 @@
 
 Paper: 20,211,887 follows triangles found in 61 s (NG) / 65 s (SP);
 "the NG approach performs slightly better because of its smaller table
-size" under hash joins with full scans.  Shape checks: identical counts
+size", where Oracle's plan is hash joins with full scans.  This engine
+runs the cyclic BGP as one trie join instead: each pattern is read once
+by a range scan and the triangle is closed by intersecting candidate
+sets, so no 2-path is materialised.  Shape checks: identical counts
 across models and agreement with the native triangle counter.
 """
 

@@ -401,6 +401,7 @@ def record_join(method: str) -> None:
     name = {
         "hash join": "join.hash",
         "NLJ": "join.nlj",
+        "trie": "join.trie",
     }.get(method, "join.other")
     inc(name)
 

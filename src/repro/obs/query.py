@@ -35,10 +35,10 @@ class OperatorStats:
     ``rows_matched <= rows_scanned``.
     """
 
-    operator: str                  # "pattern" | "path" | "filter"
+    operator: str                  # "pattern" | "path" | "filter" | "join"
     detail: str                    # rendered pattern / expression text
     bound: str = ""                # Table 5-style bound-position list
-    join_method: str = ""          # "NLJ" | "hash join" | "" (non-joins)
+    join_method: str = ""          # "NLJ" | "hash join" | "trie" | ""
     join_reason: str = ""          # thresholds behind the choice
     estimate: int = 0              # planner estimate (index prefix count)
     rows_in: int = 0               # input relation cardinality
@@ -50,6 +50,8 @@ class OperatorStats:
     rows_matched: int = 0
     index_specs: List[str] = field(default_factory=list)
     frontier_sizes: List[int] = field(default_factory=list)
+    #: A trie join's ``[variable, candidates, survivors]`` per level.
+    levels: List[list] = field(default_factory=list)
     seconds: float = 0.0
 
     @property
@@ -84,6 +86,11 @@ class OperatorStats:
         line = "  ".join(parts)
         if self.join_reason:
             line += f"\n   `- {self.join_reason}"
+        for variable, candidates, survivors in self.levels:
+            line += (
+                f"\n   `- {variable}: candidates={candidates} "
+                f"survivors={survivors}"
+            )
         return line
 
     def to_dict(self) -> Dict:
@@ -103,6 +110,7 @@ class OperatorStats:
             "rows_matched": self.rows_matched,
             "index_specs": list(self.index_specs),
             "frontier_sizes": list(self.frontier_sizes),
+            "levels": [list(level) for level in self.levels],
             "seconds": self.seconds,
         }
 
@@ -137,11 +145,13 @@ class QueryStats:
         scans = sum(op.probes for op in self.operators)
         scanned = sum(op.rows_scanned for op in self.operators)
         joins = self.join_methods()
+        tries = sum(op.operator == "join" for op in self.operators)
         return (
             f"{self.rows} rows in {self.wall_seconds * 1000:.3f}ms; "
             f"{len(self.operators)} operators, {scans} index scans, "
             f"{scanned} entries scanned; joins: "
-            f"{joins.count('NLJ')} NLJ / {joins.count('hash join')} hash; "
+            f"{joins.count('NLJ')} NLJ / {joins.count('hash join')} hash / "
+            f"{tries} trie; "
             f"filter pushdown hits: {self.counter('filter.pushdown')}"
         )
 

@@ -59,17 +59,18 @@ by the shared helpers :func:`_input` / :func:`_input_chunks`:
 Why two policies and not just the lazy one: the adaptive cutover
 NLJ-probes the first ~4 000 input rows that drain-then-decide would
 hash-join.  Forcing it on run-to-completion plans (interleaved A/B on
-the benchmark's 200-ego graph) left 16 of 20 ``scan_analytics`` classes
-within ±10 % but made EQ12 1.25× (NG) / 1.23× (SP) and EQ7 on SP 1.78×
-slower (3 999 probes ≈ 0.40 s of a 1.6 s profiled EQ12; workload p50
-73–78 ms vs 49–52 ms).  The benchmark has traffic on both sides of the
-choice (ASK and LIMIT point lookups stream; every analytics and HTTP
-text drains), so the policy fork stays and only its mechanism is
-shared.
+the benchmark's 200-ego graph) makes EQ7 2.03× slower on SP and 1.54×
+on NG.  The benchmark has traffic on both sides of the choice (ASK and
+LIMIT point lookups stream; every analytics and HTTP text drains), so
+the policy fork stays and only its mechanism is shared.
+
+A BGP whose join graph has a cycle is the one multiway step: it runs as
+a :class:`TrieJoinOp`, which reads each pattern whole under either
+policy and binds one variable at a time.
 
 Trace span names are the physical operator names: ``op.IndexScan``,
 ``op.IndexNestedLoopJoin``, ``op.HashJoin``, ``op.CartesianProduct``,
-``op.PathClosure``, ``op.Filter``.
+``op.TrieJoin``, ``op.PathClosure``, ``op.Filter``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import heapq
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain as _chain, repeat as _repeat
+from itertools import chain as _chain, product, repeat as _repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -982,6 +983,351 @@ class PatternJoinOp(PhysicalOp):
 
 
 # ----------------------------------------------------------------------
+# Trie join: a cyclic flush bound one variable at a time
+# ----------------------------------------------------------------------
+
+
+def _cyclic(edges: List[set]) -> bool:
+    """Whether the hypergraph of ``edges`` (variable sets) is cyclic:
+    GYO reduction — drop variables only one edge has, and edges another
+    edge contains — leaves something."""
+    edges = [set(edge) for edge in edges]
+    changed = True
+    while changed:
+        changed = False
+        uses = Counter(v for edge in edges for v in edge)
+        for edge in edges:
+            lonely = {v for v in edge if uses[v] == 1}
+            if lonely:
+                edge -= lonely
+                changed = True
+        i = 0
+        while i < len(edges):
+            if any(edges[i] <= f for j, f in enumerate(edges) if j != i):
+                del edges[i]
+                changed = True
+            else:
+                i += 1
+    return any(edges)
+
+
+def _trie(
+    batches: Iterable[Batch], keys, payload
+) -> Tuple[Optional[Dict], bool]:
+    """One pattern's rows as a hash trie: a dict per ``keys`` column,
+    whose leaves count the rows of each key path, or, with ``payload``
+    columns, each payload tuple's rows.  Returns the root (``None`` when
+    there are no rows; a pattern without keys is its own leaf) and
+    whether every leaf count is 1."""
+    top: Dict = {}
+    unit = not payload
+    for rows, mults in batches:
+        for row, mult in zip(rows, _repeat(1) if mults is None else mults):
+            node, key = top, None  # the root hangs under ``None``
+            for column in keys:
+                child = node.get(key)
+                if child is None:
+                    child = node[key] = {}
+                node, key = child, row[column]
+            if payload:
+                leaf = node.get(key)
+                if leaf is None:
+                    leaf = node[key] = {}
+                extra = tuple(row[column] for column in payload)
+                leaf[extra] = leaf.get(extra, 0) + mult
+            else:
+                count = node.get(key)
+                node[key] = mult if count is None else count + mult
+                unit = unit and count is None and mult == 1
+    return top.get(None), unit
+
+
+class TrieJoinOp(PhysicalOp):
+    """A BGP flush whose join graph has a cycle, as one multiway join
+    that binds one variable at a time: Veldhuizen's Leapfrog Triejoin,
+    in the hash-trie form of Wang et al.'s Free Join.
+
+    Each pattern is read once per run by its own standalone scan
+    (``scans``, a :class:`PatternJoinOp` over Unit) and hashed into a
+    trie keyed by its shared variables — input columns first, then
+    ``order``, the planner's pattern order.  Variables only one pattern
+    uses ride on its trie leaves as payload.  Per input row, each level
+    intersects the keys of the tries that mention its variable,
+    iterating the smallest and probing the rest, and applies the pushed
+    filters its variable completes; no row is built for a path that
+    closes no cycle.  Rows come out in the pairwise chain's columns.
+    """
+
+    name = "TrieJoin"
+
+    def __init__(
+        self,
+        input: PhysicalOp,
+        patterns: Sequence[TriplePattern],
+        graph: GraphContext,
+        chain_first: bool,
+        constants: Constants,
+        flush: Tuple[int, ...],
+        filters: Sequence[Expression],
+    ):
+        from repro.sparql.ast import expression_variables
+
+        self.input = input
+        self.chain_first = chain_first
+        self.flush = flush
+        self.scans = tuple(
+            PatternJoinOp(UnitOp(), pattern, graph, True, constants)
+            for pattern in patterns
+        )
+        schema = input.schema
+        graph_slot = _graph_slot(graph, constants)
+        for scan in self.scans:
+            schema += _Layout(scan.slots, graph, graph_slot, schema).vars
+        self.schema = schema
+        self.certain = input.certain | set(schema)
+        columns = [scan.schema for scan in self.scans]
+        uses = Counter(v for names in columns for v in names)
+        bound = [v for v in input.schema if uses[v]]
+        self.order = tuple(
+            v for v in dict.fromkeys(v for names in columns for v in names)
+            if uses[v] > 1 and v not in input.schema
+        )
+        keys = bound + list(self.order)
+        self._keys = [[c.index(v) for v in keys if v in c] for c in columns]
+        self._bound = [
+            [input.schema.index(v) for v in bound if v in c] for c in columns
+        ]
+        self._payload = [
+            [i for i, v in enumerate(c) if v not in keys] for c in columns
+        ]
+        self._parts = [
+            tuple(p for p, c in enumerate(columns) if v in c)
+            for v in self.order
+        ]
+        # Each new column's place among the level values followed by
+        # every payload.
+        produced = list(self.order) + [
+            c[i] for c, payload in zip(columns, self._payload)
+            for i in payload
+        ]
+        new = schema[len(input.schema):]
+        # (A cycle binds three or more new variables, so the
+        # itemgetter returns a tuple.)
+        self._assemble = (
+            None if produced == list(new)
+            else itemgetter(*map(produced.index, new))
+        )
+        # A pushed filter runs at the level that binds its last
+        # variable, over the input row and the level values so far.
+        self._filters: List[List[FilterApplyOp]] = [[] for _ in self.order]
+        self.unplaced: List[Expression] = []
+        for expression in filters:
+            names = expression_variables(expression)
+            levels = [self.order.index(v) for v in names if v in self.order]
+            if not names <= input.certain | set(self.order):
+                self.unplaced.append(expression)
+                continue
+            level = max(levels, default=0)
+            scope = PhysicalOp()
+            scope.schema = input.schema + self.order[:level + 1]
+            scope.certain = frozenset(scope.schema)
+            self._filters[level].append(
+                FilterApplyOp(scope, expression, "pushed", constants)
+            )
+        self.detail = self.label(constants.terms)
+
+    def children(self):
+        return (self.input,) + self.scans
+
+    def label(self, terms: Sequence) -> str:
+        parts = []
+        for var, tests in zip(self.order, self._filters):
+            parts.append(f"?{var}")
+            parts.extend(f"FILTER({test.label(terms)})" for test in tests)
+        return " ".join(parts)
+
+    def run_batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        if any(ctx.ids[slot] is None for slot in self.flush):
+            yield from _drained(ctx, self.input)
+            return
+        batches = _input(ctx, self.input)
+        if ctx.materialize and not batches and not self.chain_first:
+            return
+        # Instrumented, the scans report before the join that hashes
+        # their rows.
+        scanned = [self._scan(ctx, scan) for scan in self.scans]
+        if ctx.instrumented:
+            scanned = [list(rows) for rows in scanned]
+        if _obs.is_active():
+            _obs.record_join("trie")
+        levels = [[f"?{var}", 0, 0] for var in self.order]
+        body = self._bind(ctx, batches, scanned, levels)
+        if not ctx.instrumented:
+            yield from body
+            return
+        record = dict(join_method="trie", levels=levels)
+        yield from _observed(
+            ctx, self, body, batches, "join", "op.TrieJoin",
+            lambda: (record, {"join": "trie"}),
+        )
+
+    @staticmethod
+    def _scan(ctx: ExecContext, scan: PatternJoinOp) -> Iterable[Batch]:
+        """One pattern's rows, read whole: full batches, whatever the
+        input policy, since the trie needs every row."""
+        unit = [([()], None)]
+        body = scan._probe(ctx, scan.standalone, unit, _repeat(ctx.batch_size))
+
+        def fields():
+            layout = scan.standalone
+            estimate = ctx.model.estimate(layout.pick(layout.tail(ctx.ids)))
+            record = dict(
+                bound=scan.bound(ctx.terms), join_method="trie",
+                join_reason="scan once into a trie", estimate=estimate,
+            )
+            return record, dict(join="trie", estimate=estimate)
+
+        return _observed(
+            ctx, scan, body, unit, "pattern", "op.IndexScan", fields
+        )
+
+    def _bind(self, ctx, batches, scanned, levels) -> Iterator[Batch]:
+        """The bindings of every input row, level by level, from the
+        tries of the ``scanned`` pattern rows; ``levels`` counts each
+        level's candidates (keys of the smallest trie iterated) and
+        survivors (values bound).  Batches flush between values of the
+        first level."""
+        tries, units = zip(*(
+            _trie(rows, keys, payload)
+            for rows, keys, payload in zip(scanned, self._keys, self._payload)
+        ))
+        if None in tries:
+            for _ in batches:  # a pattern without rows
+                pass
+            return
+        if _obs.is_active():
+            for _ in _chain.from_iterable(self._filters):
+                _obs.inc("filter.pushdown")
+        deadline = ctx.deadline
+        parts, depth = self._parts, len(self._parts)
+        last = depth - 1
+        tests = [[f._row_test(ctx) for f in level] for level in self._filters]
+        plain = [p for p, payload in enumerate(self._payload) if not payload]
+        extra = [p for p, payload in enumerate(self._payload) if payload]
+        # With every leaf counting 1, no payload and no filter on the
+        # last level, and the last level shared by one trie the level
+        # before binds and one it does not, the last two levels run as
+        # one loop (:func:`finish`).
+        before = last - 1
+        moving = [p for p in parts[last] if p in parts[before]]
+        fixed = [p for p in parts[last] if p not in parts[before]]
+        assemble = self._assemble
+        lean = (
+            all(units) and assemble is None and not tests[last]
+            and len(moving) == 1 and len(fixed) == 1
+        )
+        if lean:
+            (moving,), (fixed,) = moving, fixed
+            moving = parts[before].index(moving)
+        nodes = list(tries)
+        values: List[int] = []
+        out = _BatchBuilder(ctx.chunk_sizes())
+
+        def emit(row: Row, mult: int) -> None:
+            for p in plain:
+                mult *= nodes[p]
+            for combo in product(*(nodes[p].items() for p in extra)):
+                more, total = tuple(values), mult
+                for payload, count in combo:
+                    more += payload
+                    total *= count
+                if assemble is not None:
+                    more = assemble(more)
+                out.add(row + more, total)
+
+        def candidates(j: int):
+            """Level ``j``'s tries and the values all of them hold."""
+            parents = [nodes[p] for p in parts[j]]
+            smallest, *rest = sorted(parents, key=len)
+            levels[j][1] += len(smallest)
+            return parents, [v for v in smallest if all(v in d for d in rest)]
+
+        def finish(row: Row, mult: int) -> None:
+            """The last two levels of a lean join: per value of the
+            level before last, the last level's values, probing the
+            larger of its two tries."""
+            parents, hits = candidates(before)
+            head = row + tuple(values)
+            checks = tests[before]
+            if checks:
+                hits = [
+                    v for v in hits
+                    if all(test(head + (v,)) for test in checks)
+                ]
+            levels[before][2] += len(hits)
+            branch, probe = parents[moving], nodes[fixed]
+            seen, made = 0, []
+            for value in hits:
+                if deadline is not None:
+                    deadline.tick()
+                other = branch[value]
+                if len(other) < len(probe):
+                    seen += len(other)
+                    found = [v for v in other if v in probe]
+                else:
+                    seen += len(probe)
+                    found = [v for v in probe if v in other]
+                if found:
+                    prefix = head + (value,)
+                    made += [prefix + (v,) for v in found]
+            levels[last][1] += seen
+            levels[last][2] += len(made)
+            out.add_repeat(made, mult)
+
+        def step(j: int, value: int, row: Row, mult: int, parents) -> None:
+            """Bind level ``j``'s variable to ``value``, then the rest."""
+            if deadline is not None:
+                deadline.tick()
+            values.append(value)
+            checks = tests[j]
+            if not checks or all(test(row + tuple(values)) for test in checks):
+                levels[j][2] += 1
+                for p, parent in zip(parts[j], parents):
+                    nodes[p] = parent[value]
+                if j == last:
+                    emit(row, mult)
+                elif lean and j + 2 == last:
+                    finish(row, mult)
+                else:
+                    below, hits = candidates(j + 1)
+                    for hit in hits:
+                        step(j + 1, hit, row, mult, below)
+                    for p, parent in zip(parts[j + 1], below):
+                        nodes[p] = parent
+            values.pop()
+
+        for row, mult in _flatten(batches):
+            if deadline is not None:
+                deadline.tick()
+            for p, columns in enumerate(self._bound):
+                node = tries[p]
+                for column in columns:
+                    node = node.get(row[column]) if node is not None else None
+                nodes[p] = node
+            if None in nodes:
+                continue
+            parents, hits = candidates(0)
+            for value in hits:
+                step(0, value, row, mult, parents)
+                if out.full():
+                    if deadline is not None:
+                        deadline.check()
+                    yield out.flush()
+        if len(out):
+            yield out.flush()
+
+
+# ----------------------------------------------------------------------
 # Hop merging and path closure
 # ----------------------------------------------------------------------
 
@@ -1039,8 +1385,10 @@ _FROM, _TO = "#s", "#o"
 class PathClosureOp(PhysicalOp):
     """A closure step ``s p* o`` (also ``p+``, ``p?``) with set
     semantics, walked from the bound end: the subject unless only the
-    object is bound, and with both free from every node of ``p``'s links
-    (the reference walker's zero-length domain).
+    object is bound.  With both free it walks from every subject and
+    object of the active graph when the path may have zero length, as
+    SPARQL 1.1 defines it, and from every node of ``p``'s links for
+    ``p+``.
 
     Each round expands the frontier's new nodes as one batch through
     ``expand`` — ``p`` compiled over a seed table of nodes
@@ -1069,11 +1417,14 @@ class PathClosureOp(PhysicalOp):
             for end in (pattern.subject, pattern.object)
         )
         self._origin, self._target = ends if forward else ends[::-1]
+        graph_slot = _graph_slot(graph, constants)
         #: The slots that must all be present for the walk to run.
         self._checked = [
-            slot for slot in ends + (_graph_slot(graph, constants),)
-            if isinstance(slot, int)
+            slot for slot in ends + (graph_slot,) if isinstance(slot, int)
         ]
+        #: The active graph of the zero-length domain: a slot's ID this
+        #: run, or ``(None, value)`` — any graph, or the default graph.
+        self._graph = (graph_slot, graph if isinstance(graph, int) else None)
         pair = (_FROM, _TO) if forward else (_TO, _FROM)
         self._pair = itemgetter(*map(self.expand.schema.index, pair))
         new = [
@@ -1151,6 +1502,12 @@ class PathClosureOp(PhysicalOp):
 
     def _domain(self, ctx: ExecContext) -> set:
         nodes = set()
+        if self.pattern.predicate.minimum == 0:
+            slot, graph = self._graph
+            graph = graph if slot is None else ctx.ids[slot]
+            for s, _, o, _ in ctx.model.scan((None, None, None, graph)):
+                nodes.update((s, o))
+            return nodes
         for link in self._links:
             pattern = link.pick(link.tail(ctx.ids))
             if pattern[1] is not None:  # else absent from the store
@@ -1825,6 +2182,10 @@ def access_plan(
     if terms is None:
         terms = root.constants.terms
     ids = [_seen_id(constant, lookup) for constant in terms]
+    tried = {
+        scan for op in execution_order(root) if isinstance(op, TrieJoinOp)
+        for scan in op.scans
+    }
     lines: List[str] = []
     rows = 1
     for op in execution_order(root):
@@ -1840,7 +2201,7 @@ def access_plan(
         estimate = model.estimate(scan.pick(scan.tail(ids)))
         if op.chain_first:
             rows = 1
-        method = decide_join(rows, estimate).method
+        method = "trie" if op in tried else decide_join(rows, estimate).method
         rows = max(rows, estimate)
         scan_kind = "index range scan" if prefix_length else "full index scan"
         lines.append(
@@ -2104,6 +2465,14 @@ class Compiler:
                 flush += (graph_slot,)
         filters = list(node.filters)
         chain_first = node.fresh
+        if self._join_graph_cyclic(ordered, graph, op):
+            # One step binds every pattern; none is left for the loop.
+            op = TrieJoinOp(
+                op, ordered, graph, chain_first, constants, flush, filters
+            )
+            filters, op = self._attach_filters(op.unplaced, op)
+            op = _merged(op, node.drop)
+            ordered = []
         for i, pattern in enumerate(ordered):
             if pattern.predicate_is_path():
                 op = self._closure(op, pattern, graph, chain_first)
@@ -2123,6 +2492,26 @@ class Compiler:
         if node.ends and columns != list(op.schema):
             op = ProjectOp(op, tuple(columns))
         return op
+
+    @staticmethod
+    def _join_graph_cyclic(
+        patterns: List[TriplePattern], graph: GraphContext, input: PhysicalOp
+    ) -> bool:
+        """Whether a flush's plain patterns form a cyclic join graph
+        over the variables ``input`` does not bind.  A flush whose
+        patterns read an input column that may be unbound keeps the
+        pairwise steps, which probe such a row with a wildcard."""
+        if len(patterns) < 3:  # also every closure step's flush
+            return False
+        edges = []
+        for pattern in patterns:
+            names = pattern_variables(pattern)
+            if isinstance(graph, str):
+                names.add(graph)
+            if names & set(input.schema) - input.certain:
+                return False
+            edges.append(names - set(input.schema))
+        return _cyclic(edges)
 
     def _closure(
         self,

@@ -11,6 +11,12 @@ The planner mirrors the behaviour the paper attributes to Oracle:
   scan of the next pattern, execution switches to a hash join with
   a full/range scan of the probe side — the paper observes Oracle doing
   exactly this for the 3/4/5-hop and triangle queries.
+
+One deviation: a BGP whose join graph has a cycle (the triangle query,
+EQ12) does not run pattern by pattern.  The physical layer compiles it
+to one trie join (:class:`repro.sparql.physical.TrieJoinOp`) that binds
+one variable at a time, taking its variable order from this pattern
+order; the NLJ-vs-hash decision applies to acyclic BGPs only.
 """
 
 from __future__ import annotations

@@ -211,12 +211,17 @@ class PathEvaluator:
     def _repeat_domain(self, path: PathRepeat, graph: GraphId) -> Set[int]:
         """Candidate start nodes for an all-pairs repetition.
 
-        Zero-length paths can start at any node occurring in the graph;
-        we approximate the spec by using all subjects and objects of the
-        inner path's IRI links (a negated set adds none), which is what
-        practical engines do.
+        A path that may have zero length (``p*``, ``p?``) starts at
+        every subject and object of the active graph, as SPARQL 1.1
+        defines it; ``p+`` starts only where the inner path's IRI links
+        start or end (a negated set adds none).
         """
         nodes: Set[int] = set()
+        if path.minimum == 0:
+            for quad in self._model.scan((None, None, None, graph)):
+                self._tick()
+                nodes.update((quad[0], quad[2]))
+            return nodes
         for link in _iri_links(path.inner):
             for start, end in self._links(link, None, graph, True):
                 nodes.update((start, end))

@@ -154,6 +154,15 @@ class CountingDeadline(Deadline):
         super().check()
 
 
+#: 60 edges from 60 subjects into 10 objects.
+STAR = [Quad(ex(f"s{i}"), ex("p"), ex(f"o{i % 10}")) for i in range(60)]
+#: Every directed edge between 9 nodes: a cyclic fixture.
+CLIQUE = [
+    Quad(ex(f"n{i}"), ex("p"), ex(f"n{j}"))
+    for i in range(9) for j in range(9) if i != j
+]
+
+
 class TestClockReadsPerBatch:
     """The batched joins read the clock at every flush: one left row
     emits its whole fan-out, so the per-left-row ``tick`` alone reads
@@ -161,27 +170,42 @@ class TestClockReadsPerBatch:
     wall-clock assertion."""
 
     @pytest.mark.parametrize(
-        "query",
+        "query, quads",
         [
             # Cartesian: 60 left rows x 60 right rows.
-            "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . ?c <http://ex/p> ?d }",
+            (
+                "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . "
+                "?c <http://ex/p> ?d }",
+                STAR,
+            ),
             # Hash join on ?b (60 rows per side, fan-out 6 per key).
-            "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . "
-            "{ ?c <http://ex/p> ?b } UNION { ?c <http://ex/q> ?b } }",
+            (
+                "SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . "
+                "{ ?c <http://ex/p> ?b } UNION { ?c <http://ex/q> ?b } }",
+                STAR,
+            ),
+            # Trie join: 504 directed triangles of 9 nodes, one per
+            # ordered triple of distinct nodes.
+            (
+                "SELECT ?a ?b ?c WHERE { ?a <http://ex/p> ?b . "
+                "?b <http://ex/p> ?c . ?c <http://ex/p> ?a }",
+                CLIQUE,
+            ),
         ],
-        ids=["cartesian", "hash"],
+        ids=["cartesian", "hash", "cycle"],
     )
-    def test_at_least_one_clock_read_per_emitted_batch(self, query):
+    def test_at_least_one_clock_read_per_emitted_batch(self, query, quads):
         from repro.sparql.executor import compile_query, execute
+        from repro.sparql.physical import render_physical
 
         network = SemanticNetwork()
         network.create_model("m")
-        network.bulk_load("m", [
-            Quad(ex(f"s{i}"), ex("p"), ex(f"o{i % 10}")) for i in range(60)
-        ])
+        network.bulk_load("m", quads)
         engine = SparqlEngine(network, default_model="m")
         model = network.model("m")
         compiled = compile_query(engine._parse_query(query), network, model, "m")
+        if quads is CLIQUE:
+            assert "TrieJoin" in render_physical(compiled.root)
         deadline = CountingDeadline()
         metrics.enable()
         result = execute(

@@ -131,8 +131,10 @@ def _concrete_ops(base=PhysicalOp):
 #: joins, a closure with both endpoints free and one from a bound end,
 #: a fixed-length path whose hops are merged away,
 #: FILTER, a sargable seed, OPTIONAL, MINUS, UNION, VALUES, BIND,
-#: GROUP BY, DISTINCT, ORDER BY, LIMIT and an absent constant.  LIMIT
-#: only follows a total ORDER BY, so every policy must agree exactly.
+#: GROUP BY, DISTINCT, ORDER BY, LIMIT and an absent constant, and a
+#: cyclic BGP (a trie join with payload columns and a filter inside).
+#: LIMIT only follows a total ORDER BY, so every policy must agree
+#: exactly.
 CONTRACT_QUERIES = [
     "SELECT ?a ?label (COUNT(?c) AS ?k) WHERE { "
     "VALUES ?a { ex:v0 ex:v1 ex:v2 ex:v3 ex:v4 ex:v9 } "
@@ -150,6 +152,8 @@ CONTRACT_QUERIES = [
     "?p ex:follows+ ?q }",
     "SELECT ?a ?c WHERE { ?a ex:follows/ex:follows/ex:follows ?c } "
     "ORDER BY ?a ?c",
+    "SELECT * WHERE { ?a ex:follows ?b . ?a ?p ?x . ?b ?p ?y "
+    "FILTER (?a != ?b) }",
 ]
 
 
