@@ -13,10 +13,20 @@ Rules (applied in order by :func:`optimize`):
     earliest point where every variable is *certainly* bound; sargable
     ``?v = <constant>`` filters become seed columns on the group's
     first flush (turning scans over ``?v`` into index probes — the
-    EQ3 rewrite from the paper's Section 4.3).  Because certainty is a
-    static under-approximation of the evaluator's runtime check, a
-    pushed filter never runs earlier than the evaluator would have run
-    it relative to value-producing operators — results are identical.
+    EQ3 rewrite from the paper's Section 4.3); a group that starts
+    with ``GRAPH ?g`` passes the seed to the subgroup's first flush
+    when that flush binds ``?v`` (``?v`` not ``?g``), which turns an
+    NG edge-KV query into a subject-seeded range scan.  Because
+    certainty is a static under-approximation of the evaluator's
+    runtime check, a pushed filter never runs earlier than the
+    evaluator would have run it relative to value-producing operators
+    — results are identical.
+
+``drop_unit_joins``
+    ``Join(Unit, X)`` becomes ``X`` (and ``Join(X, Unit)``): ``Unit``
+    is the join identity.  A group that starts with ``GRAPH ?g`` then
+    compiles to the subgroup itself, the seed ``push_filters`` handed
+    it included.
 
 ``prune_extends``
     Drop BIND columns that nothing downstream reads (dead code
@@ -58,6 +68,7 @@ from repro.sparql.algebra import (
     Project,
     Slice,
     Union,
+    Unit,
     certain_vars,
     children,
     is_hop,
@@ -149,24 +160,39 @@ _SINKABLE = (BGP, Join, LeftJoin, Minus, Filter, Extend)
 
 def push_filters(plan: Plan) -> Plan:
     """Sink group-end FILTERs; seed sargable constants."""
-    return _push(plan, None)
+    return _push(plan, None, True)
 
 
-def _push(plan: Plan, graph_var: Optional[str]) -> Plan:
+def _push(plan: Plan, graph_var: Optional[str], ordered: bool) -> Plan:
+    """``ordered``: the column order of ``plan``'s rows is observable
+    (``SELECT *`` lists the columns in the order they were bound); an
+    explicit projection above makes it unobservable."""
+    if isinstance(plan, (Project, Aggregate)) and plan.projections is not None:
+        ordered = False
     if isinstance(plan, Graph):
         inner_var = plan.graph if isinstance(plan.graph, str) else None
-        return replace(plan, input=_push(plan.input, inner_var))
+        return replace(plan, input=_push(plan.input, inner_var, ordered))
     if isinstance(plan, Filter) and plan.origin == "group_end":
-        inner = _push(plan.input, graph_var)
-        return _place(plan.expression, inner, graph_var)
-    return _map_children(plan, lambda child: _push(child, graph_var))
+        inner = _push(plan.input, graph_var, ordered)
+        return _place(plan.expression, inner, graph_var, ordered)
+    return _map_children(plan, lambda child: _push(child, graph_var, ordered))
 
 
-def _first_flushes(plan: Plan) -> List[BGP]:
-    """The group's first executed flushes (where the evaluator seeds
-    sargable filters): the deepest flush-starting BGP on the spine, or
-    the first flush of every branch of the path union a group starts
-    with (:func:`repro.sparql.algebra.lower_path`)."""
+def _first_flushes(plan: Plan, variable: str, ordered: bool) -> List[BGP]:
+    """The flushes a sargable filter on ``variable`` seeds: the group's
+    first executed flushes (where the evaluator seeds it) — the deepest
+    flush-starting BGP on the spine, or the first flush of every branch
+    of the path union a group starts with
+    (:func:`repro.sparql.algebra.lower_path`).
+
+    A group that starts with ``GRAPH ?g`` hands the seed to the
+    subgroup's first flushes when their own patterns bind ``variable``
+    (``?g`` aside).  The evaluator filters right after the GRAPH join
+    then, and a filter on a variable the flush binds is the same as
+    seeding it: every later step keeps the flush row's value.  Not when
+    the column order is observable (``ordered``): a seed is the first
+    column, where the evaluator binds the subgroup's variables in its
+    own join order."""
     found: List[BGP] = []
     node: Optional[Plan] = plan
     while node is not None:
@@ -175,9 +201,31 @@ def _first_flushes(plan: Plan) -> List[BGP]:
         if isinstance(node, BGP) and node.fresh:
             found = [node]
         elif isinstance(node, Union):
-            found = [f for branch in node.branches for f in _first_flushes(branch)]
+            found = [
+                f for branch in node.branches
+                for f in _first_flushes(branch, variable, ordered)
+            ]
+        elif not ordered and _starts_with_graph(node, variable):
+            inner = _first_flushes(node.right.input, variable, ordered)
+            if inner and all(
+                any(variable in pattern_variables(p) for p in flush.patterns)
+                for flush in inner
+            ):
+                found = inner
         node = spine_child(node)
     return found
+
+
+def _starts_with_graph(node: Plan, variable: str) -> bool:
+    """``Join(Unit, Graph(?g, ...))`` with ``?g`` not ``variable``: a
+    group whose first element is ``GRAPH ?g``."""
+    return (
+        isinstance(node, Join)
+        and isinstance(node.left, Unit)
+        and isinstance(node.right, Graph)
+        and isinstance(node.right.graph, str)
+        and node.right.graph != variable
+    )
 
 
 def _replace(plan: Plan, new: Dict[int, Plan]) -> Plan:
@@ -188,7 +236,10 @@ def _replace(plan: Plan, new: Dict[int, Plan]) -> Plan:
 
 
 def _place(
-    expression: Expression, node: Plan, graph_var: Optional[str]
+    expression: Expression,
+    node: Plan,
+    graph_var: Optional[str],
+    ordered: bool,
 ) -> Plan:
     variables = expression_variables(expression)
     if contains_exists(expression):
@@ -198,7 +249,10 @@ def _place(
     match = constant_equality(expression)
     if match is not None:
         variable, term = match
-        flushes = {id(flush): flush for flush in _first_flushes(node)}
+        flushes = {
+            id(flush): flush
+            for flush in _first_flushes(node, variable, ordered)
+        }
         if flushes and not any(
             variable in schema_vars(spine_child(flush), graph_var)
             or variable in {v for v, _ in flush.seeds}
@@ -234,6 +288,25 @@ def _sink(
             # check.
             return replace(node, filters=node.filters + (expression,))
     return Filter(node, expression, origin="pushed")
+
+
+# ----------------------------------------------------------------------
+# Unit joins
+# ----------------------------------------------------------------------
+
+
+def drop_unit_joins(plan: Plan) -> Plan:
+    """``Join(Unit, X)`` and ``Join(X, Unit)`` become ``X``: ``Unit`` is
+    the join identity.  Runs after :func:`push_filters`, which reads a
+    ``Join(Unit, ...)`` as the start of a nested group (a different
+    filter scope)."""
+    plan = _map_children(plan, drop_unit_joins)
+    if isinstance(plan, Join):
+        if isinstance(plan.left, Unit):
+            return plan.right
+        if isinstance(plan.right, Unit):
+            return plan.left
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +492,7 @@ def default_rules(
     rules: List[Rule] = [fold_constants]
     if filter_pushdown:
         rules.append(push_filters)
+    rules.append(drop_unit_joins)
     rules.append(lambda p: prune_extends(p, protected))
     rules.append(place_slice)
     rules.append(merge_hops)

@@ -952,6 +952,11 @@ class PatternJoinOp(PhysicalOp):
         prepare = getattr(ctx.model, "scan_prober", None) if fast else None
         prober = None
         out = _BatchBuilder(sizes)
+
+        def target() -> int:
+            # Read per window: a long range grows with the ramp.
+            return out.target
+
         for rows, mults in in_batches:
             for i, row in enumerate(rows):
                 if deadline is not None:
@@ -962,9 +967,9 @@ class PatternJoinOp(PhysicalOp):
                     prober = prepare(pattern, positions)
                     prepare = None
                 if prober is not None and prober.matches(pattern):
-                    windows = prober.batches(pattern, out.target)
+                    windows = prober.batches(pattern, target)
                 else:
-                    windows = scan_batches(pattern, positions, out.target)
+                    windows = scan_batches(pattern, positions, target)
                 for window in windows:
                     if deadline is not None:
                         deadline.tick()
@@ -1387,8 +1392,9 @@ class PathClosureOp(PhysicalOp):
     semantics, walked from the bound end: the subject unless only the
     object is bound.  With both free it walks from every subject and
     object of the active graph when the path may have zero length, as
-    SPARQL 1.1 defines it, and from every node of ``p``'s links for
-    ``p+``.
+    SPARQL 1.1 defines it, or when a link of ``p`` has no constant
+    predicate (a negated set), and otherwise from every node of ``p``'s
+    links.
 
     Each round expands the frontier's new nodes as one batch through
     ``expand`` — ``p`` compiled over a seed table of nodes
@@ -1435,12 +1441,19 @@ class PathClosureOp(PhysicalOp):
         self.certain = input.certain | set(new)
         self.detail = self.label(constants.terms)
         #: The standalone scans of the inner path's links, whose nodes
-        #: are the walk's domain when both ends are free.
-        self._links = [
-            op.standalone
-            for op in execution_order(self.expand)
-            if isinstance(op, PatternJoinOp) and isinstance(op.slots[1], int)
+        #: are the walk's domain when both ends are free; ``None`` when
+        #: that is every node of the active graph: the path may have
+        #: zero length, or a link has no constant predicate (a negated
+        #: set).
+        links = [
+            op for op in execution_order(self.expand)
+            if isinstance(op, PatternJoinOp)
         ]
+        constant = all(isinstance(op.slots[1], int) for op in links)
+        self._links = (
+            [op.standalone for op in links]
+            if pattern.predicate.minimum and constant else None
+        )
 
     def children(self):
         return (self.input, self.expand)
@@ -1502,7 +1515,7 @@ class PathClosureOp(PhysicalOp):
 
     def _domain(self, ctx: ExecContext) -> set:
         nodes = set()
-        if self.pattern.predicate.minimum == 0:
+        if self._links is None:
             slot, graph = self._graph
             graph = graph if slot is None else ctx.ids[slot]
             for s, _, o, _ in ctx.model.scan((None, None, None, graph)):
@@ -2335,6 +2348,8 @@ class Compiler:
                 tuple(self.compile(b, graph) for b in plan.branches)
             )
         if isinstance(plan, A.Graph):
+            if isinstance(plan.graph, str):
+                return self.compile(plan.input, plan.graph)
             return self._compile_graph_join(UnitOp(), plan)
         if isinstance(plan, A.Filter):
             child = self.compile(plan.input, graph)

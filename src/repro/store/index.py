@@ -27,13 +27,19 @@ zipping column slices, never materializing intermediate key tuples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.obs import metrics as _obs
 from repro.store.pages import Page, PagedKeys, default_page_size
 
 QuadIds = Tuple[int, int, int, int]
 Row = Tuple[int, ...]
+#: A lazy scan's window size: a row count, or a callable read before
+#: each window — a consumer whose batch target grows, like the
+#: executor's ramp under LIMIT.  ``None``: whole page slices.
+MaxRows = Union[None, int, Callable[[], int]]
 
 _POSITIONS = {"S": 0, "P": 1, "C": 2, "G": 3}
 
@@ -256,7 +262,7 @@ class SemanticIndex:
         self,
         bound: Sequence[Optional[int]],
         positions: Tuple[int, ...],
-        max_rows: Optional[int] = None,
+        max_rows: MaxRows = None,
     ) -> Iterator[List[Row]]:
         """Lazy vectorized range scan: one list of rows per page window.
 
@@ -266,7 +272,8 @@ class SemanticIndex:
         object), built by zipping decoded column slices — no
         intermediate key tuples.  ``max_rows`` caps the window size
         below a full page so a consumer that stops early (LIMIT, ASK)
-        never decodes — or counts as scanned — the rest of the page;
+        never decodes — or counts as scanned — the rest of the page
+        (:data:`MaxRows`: a callable lets the windows grow with it);
         scan counters are reported in a ``finally`` for exactly the
         windows consumed, matching the abandoned-generator semantics
         of :meth:`range_scan`.
@@ -285,12 +292,15 @@ class SemanticIndex:
         residual: Sequence[Tuple[int, int]],
         key_positions: Tuple[int, ...],
         prefix_length: int,
-        max_rows: Optional[int],
+        max_rows: MaxRows,
     ) -> Iterator[List[Row]]:
         """The window-decode loop behind :meth:`range_row_batches`,
         with the scan layout already resolved (shared with
         :class:`PreparedProbe`, which resolves it once per join)."""
-        step = max(1, max_rows) if max_rows is not None else None
+        if max_rows is None or callable(max_rows):
+            window = max_rows
+        else:
+            window = lambda: max_rows  # noqa: E731
         scanned = 0
         matched = 0
         try:
@@ -299,7 +309,9 @@ class SemanticIndex:
             ):
                 lo = seg_lo
                 while lo < seg_hi:
-                    hi = seg_hi if step is None else min(seg_hi, lo + step)
+                    hi = seg_hi if window is None else min(
+                        seg_hi, lo + max(1, window())
+                    )
                     scanned += hi - lo
                     if residual or type(segment) is list:
                         keys = (
@@ -463,7 +475,7 @@ class PreparedProbe:
     def batches(
         self,
         bound: Sequence[Optional[int]],
-        max_rows: Optional[int] = None,
+        max_rows: MaxRows = None,
     ) -> Iterator[List[Row]]:
         """One probe: lazy decoded windows, as ``range_row_batches``."""
         if _obs.is_active():

@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import metrics as _obs
-from repro.store.index import IndexSpecError, QuadIds, SemanticIndex, normalize_spec
+from repro.store.index import (
+    IndexSpecError, MaxRows, QuadIds, SemanticIndex, normalize_spec,
+)
 
 Pattern = Tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
 
@@ -79,7 +81,7 @@ class IndexReads:
         self,
         pattern: Pattern,
         positions: Tuple[int, ...],
-        max_rows: Optional[int] = None,
+        max_rows: MaxRows = None,
     ) -> Iterator[List[Tuple[int, ...]]]:
         """Lazy :meth:`scan_rows`: one row list per index page window.
 

@@ -213,27 +213,32 @@ class PathEvaluator:
 
         A path that may have zero length (``p*``, ``p?``) starts at
         every subject and object of the active graph, as SPARQL 1.1
-        defines it; ``p+`` starts only where the inner path's IRI links
-        start or end (a negated set adds none).
+        defines it, and so does one with a negated set, whose links
+        have no constant predicate; otherwise ``p+`` starts only where
+        the inner path's IRI links start or end.
         """
         nodes: Set[int] = set()
-        if path.minimum == 0:
+        links = list(_links_of(path.inner))
+        if path.minimum == 0 or any(
+            isinstance(link, PathNegated) for link in links
+        ):
             for quad in self._model.scan((None, None, None, graph)):
                 self._tick()
                 nodes.update((quad[0], quad[2]))
             return nodes
-        for link in _iri_links(path.inner):
+        for link in links:
             for start, end in self._links(link, None, graph, True):
                 nodes.update((start, end))
         return nodes
 
 
-def _iri_links(path: Path) -> Iterator[PathLink]:
-    if isinstance(path, PathLink):
+def _links_of(path: Path) -> Iterator[Path]:
+    """The links (IRIs and negated sets) of ``path``."""
+    if isinstance(path, (PathLink, PathNegated)):
         yield path
     elif isinstance(path, (PathInverse, PathRepeat)):
-        yield from _iri_links(path.inner)
+        yield from _links_of(path.inner)
     elif isinstance(path, (PathSequence, PathAlternative)):
         parts = path.steps if isinstance(path, PathSequence) else path.options
         for part in parts:
-            yield from _iri_links(part)
+            yield from _links_of(part)

@@ -790,6 +790,94 @@ class TestCyclicBGPsMatchTheReference:
 
 
 # ----------------------------------------------------------------------
+# Sargable seeds across GRAPH ?g vs the reference evaluator
+# ----------------------------------------------------------------------
+
+#: Groups with a ``GRAPH ?g`` subgroup, first or after a pattern; each
+#: gets ``FILTER (?<v> = <c>)`` at the group's end.  ``?t`` is bound
+#: only by a later outer pattern, an outer OPTIONAL or an inner one;
+#: ``?z`` by nothing.
+GRAPH_SEED_GROUPS = {
+    "first": "GRAPH ?g { ?s ex:p ?o . ?o ex:k ?w }",
+    # NG's edge key-values: the graph variable as a subject inside.
+    "first-edge-kv": "GRAPH ?g { ?s ex:p ?o . ?g ex:k ?w }",
+    "first-later-pattern": "GRAPH ?g { ?s ex:p ?o } ?o ex:q ?t",
+    "first-outer-optional": (
+        "GRAPH ?g { ?s ex:p ?o } OPTIONAL { ?o ex:q ?t }"
+    ),
+    "first-inner-optional": "GRAPH ?g { ?s ex:p ?o OPTIONAL { ?o ex:q ?t } }",
+    "later": "?a ex:q ?s . GRAPH ?g { ?s ex:p ?o }",
+    "later-inner-optional": (
+        "?a ex:q ?s . GRAPH ?g { ?s ex:p ?o OPTIONAL { ?o ex:p ?t } }"
+    ),
+}
+
+#: Present in the data (nodes, a named graph) and absent from it.
+_SEED_CONSTANTS = [_NODES[0], _NODES[1], _GRAPHS[1], IRI(EX + "absent")]
+
+
+class TestSeedsCrossGraphVarMatchTheReference:
+    """``FILTER (?v = c)`` outside ``GRAPH ?g { ... }`` seeds the
+    subgroup's first flush when that flush binds ``?v`` and the
+    projection is explicit; wherever it applies, the pipeline returns
+    the reference evaluator's multiset (and, for ``SELECT *``, its
+    column order), at the degenerate batch size and the default one."""
+
+    @pytest.mark.parametrize("shape", sorted(GRAPH_SEED_GROUPS))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        quads=_multigraphs,
+        variable=st.sampled_from(["s", "o", "g", "t", "z"]),
+        constant=st.sampled_from(_SEED_CONSTANTS),
+        projection=st.sampled_from(["*", "?s ?o ?g ?t ?z ?w ?a"]),
+        edge_kvs=st.sets(st.sampled_from(_GRAPHS[1:])),
+    )
+    def test_pipeline_equals_reference(
+        self, shape, quads, variable, constant, projection, edge_kvs
+    ):
+        # A named graph's own key-value, as NG clusters an edge's.
+        kvs = [Quad(g, _K, Literal("x"), g) for g in edge_kvs]
+        engine = TestCyclicBGPsMatchTheReference._engine(quads + kvs)
+        query = (
+            f"SELECT {projection} WHERE {{ {GRAPH_SEED_GROUPS[shape]} "
+            f"FILTER (?{variable} = {constant.n3()}) }}"
+        )
+        for batch_size in (1, 1024):
+            with forced_batch_size(engine, batch_size):
+                assert_same(engine, query)
+
+
+def test_edge_kv_texts_share_one_cached_plan(twitter_stores):
+    """Two NG edge-KV texts that differ in the hub id hit one plan-cache
+    entry (the seed is a lifted constant), and both match the oracle."""
+    stores, _, _ = twitter_stores
+    store = stores[MODEL_NG]
+    engine = store.engine
+    follows = store.select(
+        "SELECT ?n (COUNT(*) AS ?c) WHERE { ?n r:follows ?m } "
+        "GROUP BY ?n ORDER BY DESC(?c) LIMIT 2"
+    )
+    hubs = [
+        int(row[0].value.rsplit("/v", 1)[1]) for row in follows.rows
+    ]
+    engine.plan_cache.clear()
+    before = engine.plan_cache.stats()
+    for hub in hubs:
+        text = (
+            f"MATCH (n)-[e:follows]->(m) WHERE id(n)={hub} "
+            "RETURN m, properties(e)"
+        )
+        result = engine.pgql(text)
+        reference = run_legacy(engine, engine._front_end(text, "pgql")[0])
+        assert result.rows
+        assert as_multiset(result) == as_multiset(reference)
+    after = engine.plan_cache.stats()
+    assert after["size"] == 1
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] == 1
+
+
+# ----------------------------------------------------------------------
 # UPDATE WHERE: the compiled pipeline vs the oracle's WHERE relation
 # ----------------------------------------------------------------------
 

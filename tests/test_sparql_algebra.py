@@ -16,6 +16,7 @@ from repro.sparql.ast import (
     VarExpr,
 )
 from repro.sparql.optimize import (
+    drop_unit_joins,
     fold_constants,
     fold_expression,
     optimize,
@@ -231,6 +232,47 @@ class TestPushFilters:
         )
         pushed = push_filters(plan)
         assert len(find(pushed, A.Filter)) == 1
+
+    def test_seed_crosses_a_leading_graph_var_into_its_flush(self):
+        pushed = push_filters(lower(
+            "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o } FILTER (?s = ex:a) }"
+        ))
+        (bgp,) = find(pushed, A.BGP)
+        assert [var for var, _ in bgp.seeds] == ["s"]
+        assert not find(pushed, A.Filter)
+
+    @pytest.mark.parametrize("query", [
+        # The graph variable itself, also where a pattern names it.
+        "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o } FILTER (?g = ex:a) }",
+        "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o . ?g ex:k ?w } "
+        "FILTER (?g = ex:a) }",
+        # Bound only by an OPTIONAL inside the GRAPH, only by a later
+        # outer pattern (whose flush takes the seed), or by nothing.
+        "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o OPTIONAL { ?o ex:q ?t } } "
+        "FILTER (?t = ex:a) }",
+        "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o } ?o ex:q ?t "
+        "FILTER (?t = ex:a) }",
+        "SELECT ?o WHERE { GRAPH ?g { ?s ex:p ?o } FILTER (?z = ex:a) }",
+        # SELECT * shows the column order the seed would change.
+        "SELECT * WHERE { GRAPH ?g { ?s ex:p ?o } FILTER (?s = ex:a) }",
+    ])
+    def test_seed_stays_out_of_the_graph_subgroup(self, query):
+        (graph,) = find(push_filters(lower(query)), A.Graph)
+        assert not any(bgp.seeds for bgp in find(graph, A.BGP))
+
+
+class TestDropUnitJoins:
+    def test_unit_is_the_join_identity(self):
+        bgp = A.BGP(A.Unit(), ())
+        assert drop_unit_joins(A.Join(A.Unit(), bgp)) == bgp
+        assert drop_unit_joins(A.Join(bgp, A.Unit())) == bgp
+
+    def test_leading_graph_group_loses_its_join(self):
+        plan = drop_unit_joins(lower_where(
+            "SELECT * WHERE { GRAPH ?g { ?s ex:p ?o } ?o ex:q ?t }"
+        ))
+        assert not find(plan, A.Join)
+        assert isinstance(plan.input, A.Graph)
 
 
 class TestPruneExtends:

@@ -290,6 +290,22 @@ class TestNegatedPropertySets:
         )
         assert len(result) == 1  # the p edge from n1
 
+    @pytest.mark.parametrize("path", ["(!ex:q)+", "(ex:r|!ex:q)+"])
+    def test_repeated_negated_set_with_both_ends_free(self, path):
+        """A link without a constant predicate starts the walk at every
+        node of the active graph, in the pipeline and in the oracle."""
+        from repro.testing.reference import Evaluator
+
+        net = SemanticNetwork()
+        net.create_model("m")
+        net.bulk_load("m", [Quad(ex("a"), ex("p"), ex("b"))])
+        engine = SparqlEngine(net, prefixes={"ex": EX}, default_model="m")
+        text = f"SELECT ?s ?o WHERE {{ ?s {path} ?o }}"
+        expected = [(ex("a"), ex("b"))]
+        assert engine.select(text).rows == expected
+        oracle = Evaluator(net, net.model("m"))
+        assert oracle.select(engine._parse_query(text)).rows == expected
+
     def test_inverse_member_rejected(self, chain_engine):
         from repro.sparql.errors import ParseError
 

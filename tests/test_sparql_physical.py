@@ -250,6 +250,48 @@ class TestEarlyTermination:
             assert engine.ask("ASK { ?a ex:follows ?b }")
             assert registry.counter("index.rows_scanned") <= 2
 
+    @staticmethod
+    def _windows(monkeypatch):
+        """The sizes of the index windows every scan decodes."""
+        from repro.store.index import SemanticIndex
+
+        windows = []
+        decode = SemanticIndex._window_batches
+
+        def counted(self, *args):
+            for window in decode(self, *args):
+                windows.append(len(window))
+                yield window
+
+        monkeypatch.setattr(SemanticIndex, "_window_batches", counted)
+        return windows
+
+    def test_limit_scan_windows_grow_with_the_ramp(self, monkeypatch):
+        """A streaming scan's windows follow the output batches (1, 2,
+        4, ... up to the batch size), so a LIMIT over a long range
+        decodes it in a few windows, not one row per window."""
+        from repro.store.pages import default_page_size
+
+        engine = chain_engine(3000)
+        engine.batch_size = 1024
+        windows = self._windows(monkeypatch)
+        limited = engine.select(
+            "SELECT ?a ?b WHERE { ?a ex:follows ?b } LIMIT 2500"
+        )
+        assert len(limited.rows) == 2500
+        # Each window ends at a batch end or a page end: 10 ramp batches
+        # (1 ... 512), two of 1024, and the pages the range spans.
+        pages = 2500 // default_page_size() + 2
+        assert sum(windows) >= 2500
+        assert len(windows) <= 12 + pages, windows
+
+    def test_ask_decodes_one_window_of_one_row(self, monkeypatch):
+        engine = chain_engine(200)
+        engine.batch_size = 1024
+        windows = self._windows(monkeypatch)
+        assert engine.ask("ASK { ?a ex:follows ?b }")
+        assert windows == [1]
+
     def test_instrumented_mode_matches_streaming_results(self):
         engine = chain_engine(20)
         text = (
