@@ -937,8 +937,8 @@ class PatternJoinOp(PhysicalOp):
     ) -> Iterator[Batch]:
         """Vectorized port of the evaluator's ``_nested_loop_step``:
         one index probe per input row, extension rows built as column
-        zips by the store (:meth:`SemanticIndex.range_rows`), or from
-        full quads through the layout's per-quad checks."""
+        zips by the store (:meth:`SemanticIndex.range_row_batches`), or
+        from full quads through the layout's per-quad checks."""
         pick, tail = layout.pick, layout.tail(ctx.ids)
         scan_batches = ctx.model.scan_row_batches
         deadline = ctx.deadline
@@ -2179,6 +2179,17 @@ def execution_order(op: PhysicalOp) -> Iterator[PhysicalOp]:
     yield op
 
 
+def _seeded_columns(op: PhysicalOp, ids) -> Dict[str, int]:
+    """The columns of ``op``'s rows whose value is a plan constant: the
+    :class:`SeedColumnOp` columns on its chain of inputs."""
+    seeded: Dict[str, int] = {}
+    while op is not None:
+        if isinstance(op, SeedColumnOp):
+            seeded[op.var] = ids[op.slot]
+        op = getattr(op, "input", None)
+    return seeded
+
+
 def access_plan(
     root: PhysicalOp, model, lookup, terms: Optional[Sequence] = None
 ) -> List[str]:
@@ -2188,9 +2199,11 @@ def access_plan(
     Bound positions and the index come from each step's probe layout
     (what the nested-loop probe binds per input row); the join method
     is the planner's static NLJ-vs-hash decision on estimated input
-    rows.  ``terms`` are a request's constants (:meth:`Constants.bind`;
-    the compile-time table when None), which ``lookup`` resolves for
-    the index statistics.
+    rows.  A step's output is estimated from that probe, with the
+    input columns whose value the plan fixes (a :class:`SeedColumnOp`'s
+    constant) bound.  ``terms`` are a request's constants
+    (:meth:`Constants.bind`; the compile-time table when None), which
+    ``lookup`` resolves for the index statistics.
     """
     if terms is None:
         terms = root.constants.terms
@@ -2205,17 +2218,17 @@ def access_plan(
         step = len(lines) + 1
         if not isinstance(op, PatternJoinOp):
             continue
-        probe, scan = op.layout, op.standalone
+        probe, scan, tail = op.layout, op.standalone, op.layout.tail(ids)
         # -1: a placeholder for a value bound per input row.
         bound_row = (-1,) * len(op.input.schema)
-        index, prefix_length = model.choose_index(
-            probe.pick(bound_row + probe.tail(ids))
-        )
+        index, prefix_length = model.choose_index(probe.pick(bound_row + tail))
         estimate = model.estimate(scan.pick(scan.tail(ids)))
         if op.chain_first:
             rows = 1
         method = "trie" if op in tried else decide_join(rows, estimate).method
-        rows = max(rows, estimate)
+        seeded = _seeded_columns(op.input, ids)
+        known_row = tuple(seeded.get(var) for var in op.input.schema)
+        rows = max(rows, model.estimate(probe.pick(known_row + tail)))
         scan_kind = "index range scan" if prefix_length else "full index scan"
         lines.append(
             f"{step}: {op.label(terms)}  [{op.bound(terms)}] "

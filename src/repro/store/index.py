@@ -19,16 +19,20 @@ a private copy of just the page it touches (``store.cow_copy_seconds``
 times the thaws, ``pages.thawed`` counts them), so a pinned snapshot
 keeps scanning the exact pages it captured while writers move on.
 
-Besides the classic tuple-at-a-time :meth:`range_scan` generator the
-index exposes :meth:`range_rows`, the vectorized access path: it
+Every read runs one window-decode loop (:meth:`_window_batches`): it
 decodes only the page windows a scan touches and builds output rows by
-zipping column slices, never materializing intermediate key tuples.
+zipping column slices.  :meth:`range_row_batches` yields those rows a
+window at a time; :meth:`range_scan` is the same scan flattened into
+canonical quads.
 """
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.obs import metrics as _obs
@@ -42,6 +46,8 @@ Row = Tuple[int, ...]
 MaxRows = Union[None, int, Callable[[], int]]
 
 _POSITIONS = {"S": 0, "P": 1, "C": 2, "G": 3}
+#: The canonical positions of a whole quad.
+_QUAD = (0, 1, 2, 3)
 
 
 class IndexSpecError(ValueError):
@@ -127,13 +133,12 @@ class SemanticIndex:
     def __len__(self) -> int:
         return len(self._paged)
 
+    def __contains__(self, quad: QuadIds) -> bool:
+        return self._permute(quad) in self._paged
+
     def _permute(self, quad: QuadIds) -> QuadIds:
         order = self.order
         return (quad[order[0]], quad[order[1]], quad[order[2]], quad[order[3]])
-
-    def _unpermute(self, key: QuadIds) -> QuadIds:
-        inv = self._inverse
-        return (key[inv[0]], key[inv[1]], key[inv[2]], key[inv[3]])
 
     def publish(self) -> Tuple[Page, ...]:
         """Freeze and return the current pages for a snapshot.
@@ -162,17 +167,32 @@ class SemanticIndex:
         clone._paged = self._paged.share()
         return clone
 
-    def bulk_build(self, quads: Sequence[QuadIds]) -> None:
-        """Rebuild the index from scratch from canonical quads."""
-        permute = self._permute
-        keys = sorted(permute(quad) for quad in quads)
+    def bulk_build(self, quads: Iterable[QuadIds]) -> int:
+        """Rebuild the index from canonical quads, merging duplicates.
+
+        Returns the number of entries built.
+        """
+        keys = [key for key, _ in groupby(sorted(map(self._permute, quads)))]
         self._paged = PagedKeys.from_sorted(keys, self._paged.page_size)
+        return len(keys)
 
-    def insert(self, quad: QuadIds) -> None:
-        self._paged.insert(self._permute(quad))
+    def insert(self, quad: QuadIds) -> bool:
+        """Add ``quad``; False if the index already holds it."""
+        return self._paged.insert(self._permute(quad))
 
-    def delete(self, quad: QuadIds) -> None:
-        self._paged.delete(self._permute(quad))
+    def delete(self, quad: QuadIds) -> bool:
+        """Remove ``quad``; False if the index does not hold it."""
+        return self._paged.delete(self._permute(quad))
+
+    def _prefix(self, bound: Sequence[Optional[int]]) -> Tuple[int, ...]:
+        """The values of the leading key columns ``bound`` binds."""
+        prefix: List[int] = []
+        for quad_pos in self.order:
+            value = bound[quad_pos]
+            if value is None:
+                break
+            prefix.append(value)
+        return tuple(prefix)
 
     def prefix_length(self, bound: Sequence[Optional[int]]) -> int:
         """How many leading key columns the bound pattern covers.
@@ -181,82 +201,17 @@ class SemanticIndex:
         for unbound positions.  The planner picks the index maximizing
         this value.
         """
-        length = 0
-        for quad_pos in self.order:
-            if bound[quad_pos] is None:
-                break
-            length += 1
-        return length
-
-    def _prefix_residual(self, bound: Sequence[Optional[int]]):
-        """(prefix values, residual position checks) for ``bound``."""
-        prefix: List[int] = []
-        for quad_pos in self.order:
-            value = bound[quad_pos]
-            if value is None:
-                break
-            prefix.append(value)
-        plen = len(prefix)
-        residual = [
-            (key_pos, bound[quad_pos])
-            for key_pos, quad_pos in enumerate(self.order)
-            if key_pos >= plen and bound[quad_pos] is not None
-        ]
-        return prefix, residual
-
-    @staticmethod
-    def _prefix_targets(prefix: List[int]):
-        if not prefix:
-            return None, None
-        return tuple(prefix), tuple(prefix[:-1] + [prefix[-1] + 1])
+        return len(self._prefix(bound))
 
     def range_scan(self, bound: Sequence[Optional[int]]) -> Iterator[QuadIds]:
         """Scan quads matching the bound prefix, filtering the rest.
 
-        Yields canonical (s, p, c, g) tuples.  With an empty usable
+        Yields canonical (s, p, c, g) tuples: the flattened
+        :meth:`range_row_batches` of whole quads.  With an empty usable
         prefix this degrades to a full index scan with filtering,
         matching Oracle's behaviour for unselective patterns.
         """
-        prefix, residual = self._prefix_residual(bound)
-        lo_target, hi_target = self._prefix_targets(prefix)
-        windows = self._paged.slices(lo_target, hi_target)
-        unpermute = self._unpermute
-        if not _obs.is_active():
-            # Fast path: no metrics sink is listening, keep the loops bare.
-            for segment, lo, hi in windows:
-                keys = segment[lo:hi] if type(segment) is list else segment.keys(lo, hi)
-                if residual:
-                    for key in keys:
-                        if all(key[pos] == value for pos, value in residual):
-                            yield unpermute(key)
-                else:
-                    for key in keys:
-                        yield unpermute(key)
-            return
-        # Counting path: tally entries examined vs. matched locally and
-        # report once per scan (in ``finally`` so abandoned generators
-        # still report what they touched).
-        scanned = 0
-        matched = 0
-        try:
-            for segment, lo, hi in windows:
-                keys = segment[lo:hi] if type(segment) is list else segment.keys(lo, hi)
-                if residual:
-                    for key in keys:
-                        scanned += 1
-                        if all(key[pos] == value for pos, value in residual):
-                            matched += 1
-                            yield unpermute(key)
-                else:
-                    # Without residual filters every scanned entry matches,
-                    # so one counter suffices (matched is set on exit).
-                    for key in keys:
-                        scanned += 1
-                        yield unpermute(key)
-        finally:
-            if not residual:
-                matched = scanned
-            _obs.record_scan(self.spec, len(prefix), scanned, matched)
+        return chain.from_iterable(self.range_row_batches(bound, _QUAD))
 
     def range_row_batches(
         self,
@@ -275,38 +230,33 @@ class SemanticIndex:
         never decodes — or counts as scanned — the rest of the page
         (:data:`MaxRows`: a callable lets the windows grow with it);
         scan counters are reported in a ``finally`` for exactly the
-        windows consumed, matching the abandoned-generator semantics
-        of :meth:`range_scan`.
+        windows consumed, so an abandoned scan reports what it touched.
         """
-        prefix, residual = self._prefix_residual(bound)
-        lo_target, hi_target = self._prefix_targets(prefix)
-        key_positions = tuple(self._inverse[p] for p in positions)
-        return self._window_batches(
-            lo_target, hi_target, residual, key_positions, len(prefix), max_rows
-        )
+        return PreparedProbe(self, bound, positions).batches(bound, max_rows)
 
     def _window_batches(
         self,
-        lo_target: Optional[Tuple[int, ...]],
-        hi_target: Optional[Tuple[int, ...]],
+        prefix: Tuple[int, ...],
         residual: Sequence[Tuple[int, int]],
         key_positions: Tuple[int, ...],
-        prefix_length: int,
         max_rows: MaxRows,
     ) -> Iterator[List[Row]]:
-        """The window-decode loop behind :meth:`range_row_batches`,
-        with the scan layout already resolved (shared with
-        :class:`PreparedProbe`, which resolves it once per join)."""
+        """The one window-decode loop of every index read, with the
+        scan layout resolved by :class:`PreparedProbe`."""
         if max_rows is None or callable(max_rows):
             window = max_rows
         else:
             window = lambda: max_rows  # noqa: E731
+        if len(key_positions) == 1:
+            # A slice keeps a one-column row a tuple.
+            only = key_positions[0]
+            project = itemgetter(slice(only, only + 1))
+        elif key_positions:
+            project = itemgetter(*key_positions)
         scanned = 0
         matched = 0
         try:
-            for segment, seg_lo, seg_hi in self._paged.slices(
-                lo_target, hi_target
-            ):
+            for segment, seg_lo, seg_hi in self._paged.slices(prefix):
                 lo = seg_lo
                 while lo < seg_hi:
                     hi = seg_hi if window is None else min(
@@ -329,26 +279,20 @@ class SemanticIndex:
                                 )
                             ]
                         if key_positions:
-                            batch: List[Row] = [
-                                tuple(key[kp] for kp in key_positions)
-                                for key in keys
-                            ]
+                            batch: List[Row] = list(map(project, keys))
                         else:
-                            batch = [() for _ in keys]
+                            batch = [()] * len(keys)
+                    elif key_positions:
+                        cols = segment.columns(lo, hi)
+                        batch = list(zip(*(cols[kp] for kp in key_positions)))
                     else:
-                        if key_positions:
-                            cols = segment.columns(lo, hi)
-                            batch = list(
-                                zip(*(cols[kp] for kp in key_positions))
-                            )
-                        else:
-                            batch = [()] * (hi - lo)
+                        batch = [()] * (hi - lo)
                     matched += len(batch)
                     yield batch
                     lo = hi
         finally:
             if _obs.is_active():
-                _obs.record_scan(self.spec, prefix_length, scanned, matched)
+                _obs.record_scan(self.spec, len(prefix), scanned, matched)
 
     def prepare_probe(
         self, bound: Sequence[Optional[int]], positions: Tuple[int, ...]
@@ -360,34 +304,13 @@ class SemanticIndex:
         """
         return PreparedProbe(self, bound, positions)
 
-    def range_rows(
-        self,
-        bound: Sequence[Optional[int]],
-        positions: Tuple[int, ...],
-    ) -> List[Row]:
-        """Materialized :meth:`range_row_batches`: one flat row list."""
-        rows: List[Row] = []
-        for batch in self.range_row_batches(bound, positions):
-            rows.extend(batch)
-        return rows
-
     def range_quads(self, bound: Sequence[Optional[int]]) -> List[QuadIds]:
         """Materialized :meth:`range_scan`: canonical quads as a list."""
-        return self.range_rows(bound, (0, 1, 2, 3))
+        return list(self.range_scan(bound))
 
     def count_prefix(self, bound: Sequence[Optional[int]]) -> int:
         """Count entries matching the usable bound prefix (no residual filter)."""
-        prefix: List[int] = []
-        for quad_pos in self.order:
-            value = bound[quad_pos]
-            if value is None:
-                break
-            prefix.append(value)
-        if not prefix:
-            return len(self._paged)
-        lo_target, hi_target = self._prefix_targets(prefix)
-        paged = self._paged
-        return paged.rank(hi_target) - paged.rank(lo_target)
+        return self._paged.count(self._prefix(bound))
 
     def storage_bytes(self) -> int:
         """Estimated on-disk size with Oracle-style key prefix compression.
@@ -431,11 +354,12 @@ class PreparedProbe:
     as :meth:`SemanticModel.choose_index` does) dominates probe cost
     once page lookups are cheap.  The prepared probe hoists all of it
     to bind time; each :meth:`batches` call is then two page bisects
-    plus window decodes, with the same lazy chunking and scan counters
-    as :meth:`SemanticIndex.range_row_batches`.
+    plus window decodes.  A one-off scan
+    (:meth:`SemanticIndex.range_row_batches`) is a probe prepared for
+    one call, so every index read takes this path.
     """
 
-    __slots__ = ("index", "_mask", "_prefix_qps", "_plen", "_residual",
+    __slots__ = ("index", "_mask", "_prefix_qps", "_residual",
                  "_key_positions")
 
     def __init__(
@@ -446,17 +370,12 @@ class PreparedProbe:
     ):
         self.index = index
         self._mask = tuple(value is not None for value in bound)
-        prefix_qps: List[int] = []
-        for quad_pos in index.order:
-            if bound[quad_pos] is None:
-                break
-            prefix_qps.append(quad_pos)
-        self._prefix_qps = tuple(prefix_qps)
-        self._plen = len(prefix_qps)
+        length = index.prefix_length(bound)
+        self._prefix_qps = index.order[:length]
         self._residual = tuple(
             (key_pos, quad_pos)
             for key_pos, quad_pos in enumerate(index.order)
-            if key_pos >= self._plen and bound[quad_pos] is not None
+            if key_pos >= length and bound[quad_pos] is not None
         )
         self._key_positions = tuple(index._inverse[p] for p in positions)
 
@@ -477,19 +396,13 @@ class PreparedProbe:
         bound: Sequence[Optional[int]],
         max_rows: MaxRows = None,
     ) -> Iterator[List[Row]]:
-        """One probe: lazy decoded windows, as ``range_row_batches``."""
+        """One scan: lazy decoded windows of the rows matching ``bound``
+        (``store.scans`` counts it)."""
         if _obs.is_active():
             _obs.inc("store.scans")
-        if self._prefix_qps:
-            prefix = tuple(bound[qp] for qp in self._prefix_qps)
-            lo_target: Optional[Tuple[int, ...]] = prefix
-            hi_target: Optional[Tuple[int, ...]] = (
-                prefix[:-1] + (prefix[-1] + 1,)
-            )
-        else:
-            lo_target = hi_target = None
-        residual = [(kp, bound[qp]) for kp, qp in self._residual]
         return self.index._window_batches(
-            lo_target, hi_target, residual, self._key_positions,
-            self._plen, max_rows,
+            tuple(bound[qp] for qp in self._prefix_qps),
+            [(kp, bound[qp]) for kp, qp in self._residual],
+            self._key_positions,
+            max_rows,
         )

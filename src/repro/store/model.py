@@ -9,7 +9,7 @@ implemented as a separate model").
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics as _obs
 from repro.store.index import (
@@ -17,17 +17,33 @@ from repro.store.index import (
 )
 
 Pattern = Tuple[Optional[int], Optional[int], Optional[int], Optional[int]]
+_FREE: Pattern = (None, None, None, None)
 
 
 class IndexReads:
-    """The index-read surface of a physical model, over ``self._indexes``.
+    """The read surface of a physical model, over ``self._indexes``.
 
     Shared by live models and their MVCC snapshot views
     (:mod:`repro.store.snapshot`): the two differ only in who owns the
-    indexes — mutable ones here, frozen page-sharing views there.
+    indexes — mutable ones here, frozen page-sharing views there.  The
+    indexes are the only copy of the data: length, membership and
+    iteration read the first index too.
     """
 
     __slots__ = ()
+
+    def _primary(self) -> SemanticIndex:
+        return next(iter(self._indexes.values()))
+
+    def __len__(self) -> int:
+        return len(self._primary())
+
+    def __contains__(self, quad: QuadIds) -> bool:
+        return quad in self._primary()
+
+    def __iter__(self) -> Iterator[QuadIds]:
+        """The quads in the first index's key order."""
+        return self._primary().range_scan(_FREE)
 
     @property
     def index_specs(self) -> List[str]:
@@ -57,25 +73,9 @@ class IndexReads:
         assert best is not None  # models always have >= 1 index
         return best, -best_cost[1]
 
-    def _index_for_scan(self, pattern: Pattern) -> SemanticIndex:
-        if _obs.is_active():
-            _obs.inc("store.scans")
-        return self.choose_index(pattern)[0]
-
     def scan(self, pattern: Pattern) -> Iterator[QuadIds]:
         """Scan quads matching ``pattern`` via the best available index."""
-        return self._index_for_scan(pattern).range_scan(pattern)
-
-    def scan_rows(
-        self, pattern: Pattern, positions: Tuple[int, ...]
-    ) -> List[Tuple[int, ...]]:
-        """Vectorized scan: a list of tuples of canonical ``positions``.
-
-        The batch-execution access path — same matches and counters as
-        :meth:`scan`, but materialized page-window-at-a-time by the
-        index (:meth:`~repro.store.index.SemanticIndex.range_rows`).
-        """
-        return self._index_for_scan(pattern).range_rows(pattern, positions)
+        return self.choose_index(pattern)[0].range_scan(pattern)
 
     def scan_row_batches(
         self,
@@ -83,12 +83,12 @@ class IndexReads:
         positions: Tuple[int, ...],
         max_rows: MaxRows = None,
     ) -> Iterator[List[Tuple[int, ...]]]:
-        """Lazy :meth:`scan_rows`: one row list per index page window.
-
-        Lets LIMIT/ASK consumers stop before decoding the whole range
+        """Vectorized :meth:`scan`: one list of tuples of canonical
+        ``positions`` per index page window, decoded lazily so LIMIT/ASK
+        consumers stop before decoding the whole range
         (:meth:`~repro.store.index.SemanticIndex.range_row_batches`).
         """
-        return self._index_for_scan(pattern).range_row_batches(
+        return self.choose_index(pattern)[0].range_row_batches(
             pattern, positions, max_rows
         )
 
@@ -136,7 +136,6 @@ class SemanticModel(IndexReads):
         if not name:
             raise ValueError("model name must be non-empty")
         self.name = name
-        self._quads: Set[QuadIds] = set()
         self._indexes: Dict[str, SemanticIndex] = {}
         for spec in index_specs:
             self.create_index(spec)
@@ -152,8 +151,8 @@ class SemanticModel(IndexReads):
         if existing is not None:
             return existing
         index = SemanticIndex(normalized)
-        if self._quads:
-            index.bulk_build(list(self._quads))
+        if self._indexes:
+            index.bulk_build(iter(self))
         self._indexes[normalized] = index
         return index
 
@@ -174,54 +173,45 @@ class SemanticModel(IndexReads):
 
     def insert(self, quad: QuadIds) -> bool:
         """Insert one quad; returns False if it was already present."""
-        if quad in self._quads:
+        first, *others = self._indexes.values()
+        if not first.insert(quad):
             return False
-        self._quads.add(quad)
-        for index in self._indexes.values():
+        for index in others:
             index.insert(quad)
         return True
 
     def delete(self, quad: QuadIds) -> bool:
         """Delete one quad; returns False if it was absent."""
-        if quad not in self._quads:
+        first, *others = self._indexes.values()
+        if not first.delete(quad):
             return False
-        self._quads.remove(quad)
-        for index in self._indexes.values():
+        for index in others:
             index.delete(quad)
         return True
 
-    def bulk_load(self, quads: Sequence[QuadIds]) -> int:
+    def bulk_load(self, quads: Iterable[QuadIds]) -> int:
         """Load many quads at once, rebuilding indexes (fast path).
 
         Returns the number of new quads added (duplicates are merged,
-        matching set semantics of RDF graphs).
+        matching set semantics of RDF graphs): each index sorts its
+        keys and drops repeats, and loading into a non-empty model
+        merges in the quads already there.
         """
-        before = len(self._quads)
-        self._quads.update(quads)
-        added = len(self._quads) - before
+        batch = list(quads)
+        if not batch:
+            return 0
+        before = len(self)
+        batch.extend(self)
+        first, *others = self._indexes.values()
+        added = first.bulk_build(batch) - before
         if added:
-            all_quads = list(self._quads)
-            for index in self._indexes.values():
-                index.bulk_build(all_quads)
+            for index in others:
+                index.bulk_build(batch)
         return added
 
     def clear(self) -> None:
-        self._quads.clear()
         for index in self._indexes.values():
-            index.bulk_build([])
-
-    # ------------------------------------------------------------------
-    # Contents (index reads: see IndexReads)
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._quads)
-
-    def __contains__(self, quad: QuadIds) -> bool:
-        return quad in self._quads
-
-    def __iter__(self) -> Iterator[QuadIds]:
-        return iter(self._quads)
+            index.bulk_build(())
 
     # ------------------------------------------------------------------
     # Statistics
@@ -230,7 +220,7 @@ class SemanticModel(IndexReads):
     def distinct_counts(self) -> Dict[str, int]:
         """Distinct value counts per position (optimizer statistics)."""
         subjects, predicates, objects, graphs = set(), set(), set(), set()
-        for s, p, c, g in self._quads:
+        for s, p, c, g in self:
             subjects.add(s)
             predicates.add(p)
             objects.add(c)
@@ -245,4 +235,4 @@ class SemanticModel(IndexReads):
 
     def table_storage_bytes(self) -> int:
         """Estimated quads-table segment size: 4 ID columns + row overhead."""
-        return len(self._quads) * (4 * 8 + 11)
+        return len(self) * (4 * 8 + 11)

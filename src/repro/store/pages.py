@@ -283,6 +283,11 @@ class Page:
 Segment = Union[Page, List[QuadIds]]
 
 
+def _after(prefix: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The first key target past every key starting with ``prefix``."""
+    return prefix[:-1] + (prefix[-1] + 1,)
+
+
 class PagedKeys:
     """A sorted key container made of frozen pages and mutable runs.
 
@@ -318,6 +323,10 @@ class PagedKeys:
 
     def __len__(self) -> int:
         return self._count
+
+    def __contains__(self, key: QuadIds) -> bool:
+        i = self._segment_for(key)
+        return i < len(self.segments) and self._holds(i, key)
 
     def __iter__(self) -> Iterator[QuadIds]:
         for segment in self.segments:
@@ -377,10 +386,6 @@ class PagedKeys:
         self.segments[i] = thawed
         return thawed
 
-    def _segment_last(self, i: int) -> QuadIds:
-        segment = self.segments[i]
-        return segment[-1] if type(segment) is list else segment.last
-
     def _lasts_list(self) -> List[QuadIds]:
         """Cached per-segment last keys, so segment routing is one
         C-level bisect instead of a Python comparison loop.  Rebuilt
@@ -400,48 +405,52 @@ class PagedKeys:
         (``len(segments)`` if the key sorts after everything)."""
         return bisect_left(self._lasts_list(), key)
 
-    def insert(self, key: QuadIds) -> None:
+    def insert(self, key: QuadIds) -> bool:
+        """Add ``key``; False (and nothing thawed) if it is present."""
         segments = self.segments
         if not segments:
             segments.append([key])
             self._count = 1
             self._starts = None
             self._lasts = None
-            return
+            return True
         i = min(self._segment_for(key), len(segments) - 1)
+        if self._holds(i, key):
+            return False
         run = self._own(i)
-        pos = bisect_left(run, key)
-        if pos < len(run) and run[pos] == key:
-            return
-        run.insert(pos, key)
+        run.insert(bisect_left(run, key), key)
         self._count += 1
         self._starts = None
         self._lasts = None
         if len(run) > 2 * self.page_size:
             mid = len(run) // 2
             segments[i : i + 1] = [run[:mid], run[mid:]]
+        return True
 
-    def delete(self, key: QuadIds) -> None:
+    def delete(self, key: QuadIds) -> bool:
+        """Remove ``key``; False (and nothing thawed) if it is absent."""
         segments = self.segments
         i = self._segment_for(key)
-        if i == len(segments):
-            return
-        segment = segments[i]
-        if type(segment) is not list:
-            # Probe the frozen page first so an absent key never forces
-            # a copy-on-write thaw.
-            pos = segment.bisect_left(key)
-            if pos >= segment.count or segment.key(pos) != key:
-                return
+        if i == len(segments) or not self._holds(i, key):
+            return False
         run = self._own(i)
-        pos = bisect_left(run, key)
-        if pos < len(run) and run[pos] == key:
-            del run[pos]
-            self._count -= 1
-            self._starts = None
-            self._lasts = None
-            if not run:
-                del segments[i]
+        del run[bisect_left(run, key)]
+        self._count -= 1
+        self._starts = None
+        self._lasts = None
+        if not run:
+            del segments[i]
+        return True
+
+    def _holds(self, i: int, key: QuadIds) -> bool:
+        """Whether segment ``i`` holds ``key``, probed in place so a
+        frozen page is never thawed just to find out."""
+        segment = self.segments[i]
+        if type(segment) is list:
+            pos = bisect_left(segment, key)
+            return pos < len(segment) and segment[pos] == key
+        pos = segment.bisect_left(key)
+        return pos < segment.count and segment.key(pos) == key
 
     # -- search --------------------------------------------------------
 
@@ -471,29 +480,30 @@ class PagedKeys:
         i, offset = self.position(target)
         return self._starts_list()[i] + offset
 
-    def slices(
-        self,
-        lo_target: Optional[Tuple[int, ...]],
-        hi_target: Optional[Tuple[int, ...]],
-    ) -> Iterator[Tuple[Segment, int, int]]:
-        """Yield ``(segment, lo, hi)`` windows covering [lo, hi) targets.
+    def count(self, prefix: Tuple[int, ...]) -> int:
+        """Number of keys starting with ``prefix`` (all keys for ``()``)."""
+        if not prefix:
+            return self._count
+        return self.rank(_after(prefix)) - self.rank(prefix)
 
-        ``None`` bounds mean the start/end of the whole container.
-        Empty windows are skipped.
+    def slices(
+        self, prefix: Tuple[int, ...]
+    ) -> Iterator[Tuple[Segment, int, int]]:
+        """Yield the ``(segment, lo, hi)`` windows of the keys starting
+        with ``prefix`` (every key for ``()``).  Empty windows are
+        skipped.
         """
         segments = self.segments
         if not segments:
             return
-        if lo_target is None:
-            seg_lo, off_lo = 0, 0
+        last = len(segments) - 1
+        if not prefix:
+            seg_lo, off_lo, seg_hi, off_hi = 0, 0, last, None
         else:
-            seg_lo, off_lo = self.position(lo_target)
-        if hi_target is None:
-            seg_hi, off_hi = len(segments) - 1, None
-        else:
-            seg_hi, off_hi = self.position(hi_target)
+            seg_lo, off_lo = self.position(prefix)
+            seg_hi, off_hi = self.position(_after(prefix))
             if seg_hi == len(segments):
-                seg_hi, off_hi = len(segments) - 1, None
+                seg_hi, off_hi = last, None
             elif off_hi == 0:
                 if seg_hi == seg_lo:
                     return

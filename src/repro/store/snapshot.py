@@ -45,11 +45,12 @@ from repro.store.virtual import VirtualModel
 class SnapshotModel(IndexReads):
     """A read-only view of one semantic model at a fixed version.
 
-    The same index reads as :class:`~repro.store.model.SemanticModel`
-    (:class:`~repro.store.model.IndexReads`: ``scan`` / ``estimate`` /
-    ``choose_index`` …) over frozen index views; iteration, length and
-    membership come from an index too — there is no separate quad set
-    to copy, so capture cost is O(#indexes), not O(#quads).
+    Every read — ``scan`` / ``estimate`` / ``choose_index``, and
+    length, membership and iteration — is the
+    :class:`~repro.store.model.IndexReads` code a live
+    :class:`~repro.store.model.SemanticModel` runs, over frozen index
+    views.  Indexes are a model's only copy of its quads, so capture
+    cost is O(#indexes), not O(#quads).
     """
 
     __slots__ = ("name", "_indexes")
@@ -57,20 +58,6 @@ class SnapshotModel(IndexReads):
     def __init__(self, name: str, indexes: Dict[str, SemanticIndex]):
         self.name = name
         self._indexes = indexes
-
-    def _primary(self) -> SemanticIndex:
-        return next(iter(self._indexes.values()))
-
-    def __len__(self) -> int:
-        return len(self._primary())
-
-    def __contains__(self, quad: QuadIds) -> bool:
-        # A fully bound pattern is an exact prefix on any index (every
-        # index key is a full permutation of the quad).
-        return self._primary().count_prefix(quad) > 0
-
-    def __iter__(self) -> Iterator[QuadIds]:
-        return self._primary().range_scan((None, None, None, None))
 
     def __repr__(self) -> str:
         return f"SnapshotModel({self.name!r}, quads={len(self)})"

@@ -76,35 +76,19 @@ class VirtualModel:
                     seen.add(quad)
                     yield quad
 
-    def scan_rows(self, pattern: Pattern, positions):
-        """Vectorized :meth:`scan`: merged lists of position tuples."""
-        if len(self.members) == 1:
-            return self.members[0].scan_rows(pattern, positions)
-        if self.union_all:
-            rows = []
-            for member in self.members:
-                rows.extend(member.scan_rows(pattern, positions))
-            return rows
-        # UNION semantics deduplicate on whole quads, so members must
-        # return full quads before projecting the requested positions.
-        seen = set()
-        quads = []
-        for member in self.members:
-            for quad in member.scan_rows(pattern, (0, 1, 2, 3)):
-                if quad not in seen:
-                    seen.add(quad)
-                    quads.append(quad)
-        return [tuple(quad[p] for p in positions) for quad in quads]
-
     def scan_row_batches(self, pattern: Pattern, positions, max_rows=None):
-        """Lazy :meth:`scan_rows`: one row list per index page window."""
+        """Vectorized :meth:`scan`: one row list per index page window.
+
+        A multi-member UNION must see every member before deduplicating,
+        so there is nothing to gain from page-window laziness: it
+        answers one batch, projected from :meth:`scan`.
+        """
         if len(self.members) == 1:
             return self.members[0].scan_row_batches(
                 pattern, positions, max_rows
             )
-        # Multi-member UNION must see every member before deduplicating,
-        # so there is nothing to gain from page-window laziness here.
-        return iter((self.scan_rows(pattern, positions),))
+        rows = [tuple(quad[p] for p in positions) for quad in self.scan(pattern)]
+        return iter((rows,))
 
     def scan_prober(self, pattern: Pattern, positions):
         """Prepared probes need a single index; UNION views have none."""

@@ -22,6 +22,7 @@ from repro.datasets.twitter import (
     hub_vertex,
 )
 from repro.pgql.suite import pgql_experiment_queries
+from repro.sparql.plan import HASH_JOIN_MIN_ROWS
 
 MODELS = (MODEL_NG, MODEL_SP, MODEL_RF)
 
@@ -83,3 +84,21 @@ def test_ng_edge_kv_is_a_seeded_range_scan(scanned):
     first, second = (s for s in analysis.steps if s.operator == "pattern")
     assert first.bound.startswith("S=?n") and first.rows_in == 1
     assert second.bound == "S=?e" and second.index_specs == ["GSPC"]
+
+
+def test_static_plan_estimates_a_seeded_step_from_its_seed():
+    """The static access plan sizes a step's output from its probe with
+    the seeded vertex bound, not from the whole ``follows`` range: with
+    that range past ``HASH_JOIN_MIN_ROWS`` the edge-KV step is still the
+    NLJ that EXPLAIN ANALYZE runs."""
+    graph = generate_twitter(TwitterConfig(egos=56, seed=42))
+    store = PropertyGraphRdfStore(model=MODEL_NG)
+    store.load(graph)
+    text = _ekv_hub(hub_vertex(graph))
+    analysis = store.explain(text, analyze=True, language="pgql")
+    steps = [s for s in analysis.steps if s.operator == "pattern"]
+    assert steps[0].estimate >= HASH_JOIN_MIN_ROWS  # the follows range
+    assert [s.join_method for s in steps] == ["NLJ", "NLJ"]
+    first, second = store.explain(text, language="pgql")
+    assert first.endswith("(index range scan, NLJ)"), first
+    assert second.endswith("(index range scan, NLJ)"), second

@@ -1,8 +1,17 @@
 """Unit tests for semantic models (partitions)."""
 
-import pytest
+import gc
+import os
+import tracemalloc
+from unittest import mock
 
-from repro.store import IndexSpecError, SemanticModel
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import metrics
+from repro.rdf import IRI, Quad
+from repro.store import IndexSpecError, SemanticModel, SemanticNetwork
 
 QUADS = [
     (1, 10, 2, 0),
@@ -155,3 +164,124 @@ class TestPredicateHistogram:
             1 for count in histograms[MODEL_SP].values() if count == 1
         )
         assert singletons >= graph.edge_count
+
+
+# ----------------------------------------------------------------------
+# The indexes are the model: DML against a Python set
+# ----------------------------------------------------------------------
+
+
+def _iri(i: int) -> IRI:
+    return IRI(f"http://ex/{i}")
+
+
+_GRAPHS = st.sampled_from([None, _iri(10), _iri(11)])
+_QUADS = st.builds(
+    lambda s, p, o, g: Quad(_iri(s), _iri(p), _iri(o), g),
+    st.integers(0, 2), st.integers(3, 4), st.integers(0, 2), _GRAPHS,
+)
+_DML = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _QUADS),
+        st.tuples(st.just("delete"), _QUADS),
+        st.tuples(st.just("bulk"), st.lists(_QUADS, max_size=12)),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("clear_graph"), _GRAPHS),
+        st.tuples(st.just("index"), st.sampled_from(["GSPC", "SPCG", "CPSG"])),
+        st.tuples(st.just("snapshot"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+def _assert_model_is(network, expected):
+    model = network.model("m")
+    decode = network.decode_quad
+    assert len(model) == len(expected)
+    listed = [decode(quad) for quad in model]
+    assert len(listed) == len(expected) and set(listed) == expected
+    for quad in expected:
+        assert network.contains("m", quad)
+    for spec in model.index_specs:
+        index = model.index(spec)
+        assert len(index) == len(expected)
+        assert {decode(q) for q in index.range_scan((None,) * 4)} == expected
+
+
+class TestModelDmlIsASet:
+    """Every DML path of a model (at page size 4, so each membership
+    check crosses page boundaries) answers as a Python set would, and
+    each snapshot keeps the set as it stood at capture."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_DML)
+    def test_dml_matches_a_set(self, ops):
+        with mock.patch.dict(os.environ, {"REPRO_PAGE_SIZE": "4"}):
+            network = SemanticNetwork()
+            network.create_model("m")
+            expected = set()
+            snapshots = []
+            for op, arg in ops:
+                if op == "insert":
+                    assert network.insert("m", arg) == (arg not in expected)
+                    expected.add(arg)
+                elif op == "delete":
+                    assert network.delete("m", arg) == (arg in expected)
+                    expected.discard(arg)
+                elif op == "bulk":
+                    fresh = set(arg) - expected
+                    assert network.bulk_load("m", arg) == len(fresh)
+                    expected |= fresh
+                elif op == "clear":
+                    assert network.clear_model("m") == len(expected)
+                    expected.clear()
+                elif op == "clear_graph":
+                    if arg is None:
+                        continue
+                    doomed = {q for q in expected if q.graph == arg}
+                    assert network.clear_model("m", arg) == len(doomed)
+                    expected -= doomed
+                elif op == "index":
+                    network.model("m").create_index(arg)
+                else:
+                    snapshots.append((network.snapshot(), set(expected)))
+                _assert_model_is(network, expected)
+            for snapshot, captured in snapshots:
+                model = snapshot.model("m")
+                assert len(model) == len(captured)
+                assert set(snapshot.quads("m")) == captured
+
+
+class TestModelCounters:
+    def test_retained_bytes_per_quad_are_the_pages(self, monkeypatch):
+        """A loaded model keeps its quads only as packed index pages: a
+        per-quad Python object (a 4-tuple alone is 72 bytes) breaks the
+        bound.  Measured with production-size pages."""
+        monkeypatch.setenv("REPRO_PAGE_SIZE", "1024")
+        count = 20000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            quads = [(s, 1 + s % 7, 2 * s, s % 50) for s in range(1, count + 1)]
+            model = SemanticModel("m")
+            assert model.bulk_load(quads) == count
+            del quads
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(model) == count
+        assert retained / count < 32, retained / count
+
+    def test_duplicate_insert_after_a_snapshot_thaws_nothing(self):
+        network = SemanticNetwork()
+        network.create_model("m")
+        quads = [Quad(_iri(s), _iri(100), _iri(s + 1)) for s in range(50)]
+        network.bulk_load("m", quads)
+        pinned = network.snapshot()
+        with metrics.enabled(fresh=True) as registry:
+            assert not network.insert("m", quads[7])
+            assert registry.counter("pages.thawed") == 0
+            assert network.insert("m", Quad(_iri(7), _iri(100), _iri(0)))
+            assert registry.counter("pages.thawed") >= 1
+        assert len(pinned.model("m")) == len(quads)

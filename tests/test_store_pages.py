@@ -144,10 +144,10 @@ class TestPagedKeysModelEquivalence:
         model = set()
         for is_insert, key in ops:
             if is_insert:
-                paged.insert(key)
+                assert paged.insert(key) == (key not in model)
                 model.add(key)
             else:
-                paged.delete(key)
+                assert paged.delete(key) == (key in model)
                 model.discard(key)
             assert len(paged) == len(model)
         assert list(paged) == sorted(model)
@@ -191,14 +191,14 @@ class TestPagedKeysModelEquivalence:
             if all(p is None or q[i] == p for i, p in enumerate(pattern))
         )
         assert sorted(index.range_scan(pattern)) == expected
-        assert sorted(index.range_rows(pattern, (0, 1, 2, 3))) == expected
         # The batched access path sees the same rows in the same order.
         flat = [
             row
             for batch in index.range_row_batches(pattern, (0, 1, 2, 3))
             for row in batch
         ]
-        assert flat == list(index.range_rows(pattern, (0, 1, 2, 3)))
+        assert flat == list(index.range_scan(pattern))
+        assert flat == index.range_quads(pattern)
         # max_rows chunking changes batch boundaries, never content.
         chunked = [
             row
